@@ -104,42 +104,34 @@ class DoubleLayerTrainer(Trainer):
             )
 
     # -- layer-2 views ----------------------------------------------------------
-    def _layer2_states(self, budgets) -> np.ndarray:
-        lsf = self.env.observe_layer2() / self.env.layer2_observation_scale()
-        bud = broadcast_budget(budgets, self.env.n_s) / self.env.params.p_max
+    def _layer2_states(self, budgets, env) -> np.ndarray:
+        lsf = env.observe_layer2() / env.layer2_observation_scale()
+        bud = broadcast_budget(budgets, env.n_s) / env.params.p_max
         return np.column_stack([lsf.reshape(-1), bud])
 
     def _budgets_from_raw(self, raw1) -> np.ndarray:
         return np.clip(raw1[:, 0], 0.0, self.env.params.p_max)
+
+    def _layer2(self, raw1, env, noise_std):
+        """Layer-2 states, raw actions and allocations under the layer-1 budgets."""
+        budgets = self._budgets_from_raw(raw1)
+        s2 = self._layer2_states(budgets, env)
+        raw2 = self.core2.act(s2, noise_std)
+        weights = np.full(len(raw2), 1.0) if self.layer2_mode == "uniform" else raw2[:, 0]
+        return s2, raw2, layer2_allocate(weights, budgets, env.n_s)
 
     # -- per-step hooks -----------------------------------------------------------
     def _choose(self, obs, noise_std):
         raw1 = self.core.act(obs, noise_std)
         if self.core2 is None:
             return raw1, self.env_actions(raw1), None, {}
-        budgets = self._budgets_from_raw(raw1)
-        s2 = self._layer2_states(budgets)
-        raw2 = self.core2.act(s2, noise_std)
-        if self.layer2_mode == "uniform":
-            weights = np.full(len(raw2), 1.0)
-        else:
-            weights = raw2[:, 0]
-        allocations = layer2_allocate(weights, budgets, self.env.n_s)
+        s2, raw2, allocations = self._layer2(raw1, self.env, noise_std)
         return raw1, self.env_actions(raw1), allocations, {"s2": s2, "raw2": raw2}
 
     def _greedy_choose(self, obs, raw1, env):
         if self.core2 is None:
             return raw1, self.env_actions(raw1), None, {}
-        budgets = self._budgets_from_raw(raw1)
-        lsf = env.observe_layer2() / env.layer2_observation_scale()
-        bud = broadcast_budget(budgets, env.n_s) / env.params.p_max
-        s2 = np.column_stack([lsf.reshape(-1), bud])
-        raw2 = self.core2.greedy(s2)
-        if self.layer2_mode == "uniform":
-            weights = np.full(len(raw2), 1.0)
-        else:
-            weights = raw2[:, 0]
-        allocations = layer2_allocate(weights, budgets, env.n_s)
+        _, _, allocations = self._layer2(raw1, env, 0.0)
         return raw1, self.env_actions(raw1), allocations, {}
 
     def _store(self, obs, raw1, rewards, next_obs, extras):
@@ -150,7 +142,7 @@ class DoubleLayerTrainer(Trainer):
         # next layer-2 state pairs the post-move fading with the budgets the
         # current user policy would pick at the next observation
         next_budgets = self._budgets_from_raw(self.core.greedy(next_obs))
-        s2_next = self._layer2_states(next_budgets)
+        s2_next = self._layer2_states(next_budgets, self.env)
         r2 = split_reward(rewards, self.env.n_s)
         self.core2.record(extras["s2"], extras["raw2"], r2, s2_next)
         self.core2.refresh_and_fill()
@@ -163,14 +155,13 @@ class DoubleLayerTrainer(Trainer):
         return out
 
     # -- checkpoints ----------------------------------------------------------------
+    def _layers(self) -> dict:
+        layers = super()._layers()
+        if self.core2 is not None:
+            layers["2"] = self.core2
+        return layers
+
     def state_dict(self) -> dict:
         state = super().state_dict()
-        if self.core2 is not None:
-            state["layers"]["2"] = self.core2.state_dict()
         state["layer2_mode"] = self.layer2_mode
         return state
-
-    def load_state_dict(self, state: dict):
-        super().load_state_dict(state)
-        if self.core2 is not None and "2" in state["layers"]:
-            self.core2.load_state_dict(state["layers"]["2"])

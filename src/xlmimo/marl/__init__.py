@@ -1,5 +1,5 @@
 from .nets import Actor, Mlp, clip_gradients, global_norm, sgd_step, sigmoid, soft_update
-from .replay import Experience, ReplayBuffer, fill_extraction_pool, priority_ranked, priority_simple
+from .replay import Batch, ReplayBuffer, fill_extraction_pool, priority_ranked, priority_simple
 from .trainer import VARIANTS, MarlCore, Trainer, TrainerSettings, VariantSpec, resolve_variant
 
 __all__ = [
@@ -10,7 +10,7 @@ __all__ = [
     "sgd_step",
     "sigmoid",
     "soft_update",
-    "Experience",
+    "Batch",
     "ReplayBuffer",
     "fill_extraction_pool",
     "priority_ranked",

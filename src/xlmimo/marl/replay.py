@@ -1,7 +1,9 @@
-"""Experience replay with loss-driven priorities.
+"""Transition replay with loss-driven priorities.
 
-Each record keeps, besides the transition itself, the critic loss computed
-when it was stored, how many times it has been pulled into the extraction
+One store per control layer holds each joint transition once.  Beside it,
+every critic (critic 0 the shared critic, critic 1 + i agent i's) keeps
+its own reward, the critic loss computed when the transition was
+stored, how many times it has been pulled into that critic's extraction
 pool, and its current priority.  Priorities follow either the plain
 loss-proportional rule or the rank-based rule that also demotes frequently
 extracted records.
@@ -9,12 +11,12 @@ extracted records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Experience",
+    "Batch",
     "ReplayBuffer",
     "priority_simple",
     "priority_ranked",
@@ -22,18 +24,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class Experience:
-    """One stored transition with its replay bookkeeping."""
+class Batch(NamedTuple):
+    """Transitions drawn for one critic: joint arrays plus that critic's rewards."""
 
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    loss: float
-    n: int = 0
-    pr: float = 0.0
-    uid: int = field(default=-1)
+    states: np.ndarray  # (n, n_agents, state_dim)
+    actions: np.ndarray  # (n, n_agents, action_dim)
+    rewards: np.ndarray  # (n,)
+    next_states: np.ndarray  # (n, n_agents, state_dim)
 
 
 def _rank_ascending(values: np.ndarray) -> np.ndarray:
@@ -77,68 +74,89 @@ def priority_ranked(losses, counts, mu: float, nu: float) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """FIFO buffer of experiences with bounded capacity."""
+    """Oldest-first store of joint transitions with per-critic bookkeeping.
 
-    def __init__(self, capacity: int):
+    Row t of ``states``, ``actions`` and ``next_states`` is the t-th oldest
+    transition; ``rewards``, ``losses``, ``counts`` and ``priorities`` have
+    one row per critic and one column per transition.  A full store drops
+    its oldest transition by shifting every array one place.
+    """
+
+    def __init__(self, capacity: int, n_agents: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.records: list[Experience] = []
-        self._next_uid = 0
+        self.size = 0
+        self.states = np.zeros((capacity, n_agents, state_dim))
+        self.actions = np.zeros((capacity, n_agents, action_dim))
+        self.next_states = np.zeros((capacity, n_agents, state_dim))
+        self.rewards = np.zeros((n_agents + 1, capacity))
+        self.losses = np.zeros((n_agents + 1, capacity))
+        self.counts = np.zeros((n_agents + 1, capacity), dtype=np.int64)
+        self.priorities = np.zeros((n_agents + 1, capacity))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.size
 
-    def add(self, record: Experience):
-        record.uid = self._next_uid
-        self._next_uid += 1
-        self.records.append(record)
-        if len(self.records) > self.capacity:
-            self.records.pop(0)
+    def add(self, state, action, rewards, next_state, losses):
+        """Append one transition; ``rewards`` and ``losses`` hold one value per critic."""
+        if self.size == self.capacity:
+            for a in (self.states, self.actions, self.next_states):
+                a[:-1] = a[1:]
+            for a in (self.rewards, self.losses, self.counts, self.priorities):
+                a[:, :-1] = a[:, 1:]
+            self.size -= 1
+        t = self.size
+        self.states[t] = state
+        self.actions[t] = action
+        self.next_states[t] = next_state
+        self.rewards[:, t] = rewards
+        self.losses[:, t] = losses
+        self.counts[:, t] = 0
+        self.priorities[:, t] = 0.0
+        self.size += 1
 
     def refresh_priorities(self, rule: str = "ranked", mu: float = 1.0, nu: float = 0.01):
-        if not self.records:
+        """Recompute every critic's priorities from its stored losses."""
+        if self.size == 0:
             return
-        losses = np.array([r.loss for r in self.records])
-        if rule == "ranked":
-            counts = np.array([r.n for r in self.records])
-            prs = priority_ranked(losses, counts, mu, nu)
-        elif rule == "simple":
-            prs = priority_simple(losses)
-        else:
+        if rule not in ("ranked", "simple"):
             raise ValueError(f"unknown priority rule {rule!r}")
-        for r, pr in zip(self.records, prs):
-            r.pr = float(pr)
+        n = self.size
+        for c, (losses, counts) in enumerate(zip(self.losses[:, :n], self.counts[:, :n])):
+            if rule == "ranked":
+                self.priorities[c, :n] = priority_ranked(losses, counts, mu, nu)
+            else:
+                self.priorities[c, :n] = priority_simple(losses)
 
 
 def fill_extraction_pool(
     buffer: ReplayBuffer,
+    col: int,
     size: int,
     rng: np.random.Generator,
     prioritized: bool = True,
-) -> list[Experience]:
-    """Draw records without replacement, priority-proportional.
+) -> np.ndarray:
+    """Draw transition positions for critic ``col`` without replacement, priority-proportional.
 
-    Every stored record must already carry a computed loss.  Selected
-    records get their extraction counter bumped.  When the buffer holds no
-    more than ``size`` records the pool is the whole buffer.
+    Every stored transition must already carry a finite loss for this
+    critic.  Drawn positions get this critic's extraction counter bumped.
+    When the store holds no more than ``size`` transitions the pool is the
+    whole store.
     """
-    if len(buffer) == 0:
-        raise ValueError("cannot fill a pool from an empty buffer")
-    for r in buffer.records:
-        if r.loss is None or not np.isfinite(r.loss):
-            raise ValueError("all records need a finite stored loss before pooling")
     n = len(buffer)
+    if n == 0:
+        raise ValueError("cannot fill a pool from an empty buffer")
+    if not np.all(np.isfinite(buffer.losses[col, :n])):
+        raise ValueError("all records need a finite stored loss before pooling")
     take = min(size, n)
     if prioritized:
-        weights = np.array([r.pr for r in buffer.records], dtype=float)
+        weights = buffer.priorities[col, :n]
         if weights.sum() <= 0:
             weights = np.full(n, 1.0 / n)
         probs = weights / weights.sum()
         idx = rng.choice(n, size=take, replace=False, p=probs)
     else:
         idx = rng.choice(n, size=take, replace=False)
-    pool = [buffer.records[i] for i in idx]
-    for r in pool:
-        r.n += 1
-    return pool
+    buffer.counts[col, idx] += 1
+    return idx

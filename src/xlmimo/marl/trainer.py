@@ -3,9 +3,9 @@
 Every agent owns a local actor (and, in the decoupled variants, a local
 critic); one shared critic over the joint state-action drives the
 centralized part of the policy gradient and regresses on the team reward.
-Replay keeps a shared joint buffer plus one per-agent view; extraction
-pools are refilled every step, priority-proportional in the prioritized
-variants.
+Replay keeps each joint transition once per layer, with one reward, loss,
+extraction count and priority per critic; every critic's extraction pool
+is refilled every step, priority-proportional in the prioritized variants.
 
 Each stochastic piece (initialisation, exploration, pooling, batch
 sampling) draws from its own named stream, so switching a variant feature
@@ -22,9 +22,12 @@ import numpy as np
 from ..env import AgentAction
 from ..seeding import stream
 from .nets import Actor, Mlp, clip_gradients, sgd_step, sigmoid, soft_update
-from .replay import Experience, ReplayBuffer, fill_extraction_pool
+from .replay import Batch, ReplayBuffer, fill_extraction_pool
 
 __all__ = ["VariantSpec", "VARIANTS", "resolve_variant", "TrainerSettings", "MarlCore", "Trainer"]
+
+# version 2 stores each layer's replay once ("replay"); version 1 is not read
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -150,16 +153,17 @@ class MarlCore:
                                         stream(master_seed, "init", "critic_global", layer), slope)
         self.global_critic_target.copy_from(self.global_critic)
 
-        self.buffer_global = ReplayBuffer(settings.buffer_capacity)
-        self.buffers_local = [ReplayBuffer(settings.buffer_capacity) for _ in range(n_agents)]
-        self.pool_global: list = []
-        self.pools_local: list = [[] for _ in range(n_agents)]
+        # replay row, pool and stream 0 serve the shared critic, 1 + i agent i's
+        self.replay = ReplayBuffer(settings.buffer_capacity, n_agents, state_dim, self.action_dim)
+        self.pools = [np.zeros(0, dtype=np.int64)] * (n_agents + 1)
 
         self._explore = [stream(master_seed, "explore", layer, i) for i in range(n_agents)]
-        self._pool_rng_g = stream(master_seed, "pool_global", layer)
-        self._pool_rng_l = [stream(master_seed, "pool_local", layer, i) for i in range(n_agents)]
-        self._upd_rng_g = stream(master_seed, "update_global", layer)
-        self._upd_rng_l = [stream(master_seed, "update_local", layer, i) for i in range(n_agents)]
+        self._pool_rngs = [stream(master_seed, "pool_global", layer)] + [
+            stream(master_seed, "pool_local", layer, i) for i in range(n_agents)
+        ]
+        self._upd_rngs = [stream(master_seed, "update_global", layer)] + [
+            stream(master_seed, "update_local", layer, i) for i in range(n_agents)
+        ]
 
     # -- acting ---------------------------------------------------------------
     def act(self, states: np.ndarray, noise_std: float = 0.0) -> np.ndarray:
@@ -186,11 +190,7 @@ class MarlCore:
         return np.concatenate([flat_s, flat_a], axis=1)
 
     def _local_input(self, state, action):
-        state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float)
-        if state.ndim == 1:
-            return np.concatenate([state, action / self.ranges])
-        return np.concatenate([state, action / self.ranges], axis=1)
+        return np.concatenate([state, action / self.ranges], axis=-1)
 
     def _target_joint_next(self, next_states):
         acts = np.stack([self.actor_targets[i].act(next_states[i]) for i in range(self.n_agents)])
@@ -218,57 +218,46 @@ class MarlCore:
         return loss_g, losses_l
 
     def record(self, states, actions, rewards, next_states):
-        """Score the transition with the target nets and store it everywhere."""
-        states = np.array(states, dtype=float)
-        actions = np.array(actions, dtype=float)
+        """Score the transition with the target nets and store it once."""
+        states = np.asarray(states, dtype=float)
+        actions = np.asarray(actions, dtype=float)
         rewards = np.asarray(rewards, dtype=float)
-        next_states = np.array(next_states, dtype=float)
+        next_states = np.asarray(next_states, dtype=float)
         loss_g, losses_l = self.bellman_losses(states, actions, rewards, next_states)
-        self.buffer_global.add(
-            Experience(states, actions, float(rewards.sum()), next_states, loss=loss_g)
-        )
-        for i in range(self.n_agents):
-            self.buffers_local[i].add(
-                Experience(states, actions, float(rewards[i]), next_states, loss=losses_l[i])
-            )
+        self.replay.add(states, actions, [float(rewards.sum()), *rewards], next_states,
+                        [loss_g, *losses_l])
 
     def refresh_and_fill(self):
         cfg = self.cfg
-        self.buffer_global.refresh_priorities(cfg.priority_rule, cfg.priority_mu, cfg.priority_nu)
-        self.pool_global = fill_extraction_pool(
-            self.buffer_global, cfg.pool_size, self._pool_rng_g, self.variant.prioritized
-        )
-        for i in range(self.n_agents):
-            self.buffers_local[i].refresh_priorities(
-                cfg.priority_rule, cfg.priority_mu, cfg.priority_nu
-            )
-            self.pools_local[i] = fill_extraction_pool(
-                self.buffers_local[i], cfg.pool_size, self._pool_rng_l[i], self.variant.prioritized
-            )
+        self.replay.refresh_priorities(cfg.priority_rule, cfg.priority_mu, cfg.priority_nu)
+        self.pools = [
+            fill_extraction_pool(self.replay, c, cfg.pool_size, rng, self.variant.prioritized)
+            for c, rng in enumerate(self._pool_rngs)
+        ]
 
     # -- updates ----------------------------------------------------------------
-    def _sample(self, pool, size, rng):
-        idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
-        return [pool[i] for i in idx]
+    def _sample(self, col: int, size: int) -> Batch:
+        """A batch from critic ``col``'s pool, drawn with its update stream."""
+        pool = self.pools[col]
+        pos = pool[self._upd_rngs[col].choice(len(pool), min(size, len(pool)), replace=False)]
+        r = self.replay
+        return Batch(r.states[pos], r.actions[pos], r.rewards[col, pos], r.next_states[pos])
 
-    def _joint_next_batch(self, batch):
-        """Target-actor joint inputs for every record's next state, batched."""
-        n = len(batch)
-        next_states = np.stack([r.next_state for r in batch])  # (n, agents, sd)
-        flat_s = next_states.reshape(n, -1)
+    def _joint_next_batch(self, batch: Batch):
+        """Target-actor joint inputs for every transition's next state."""
+        next_states = batch.next_states  # (n, agents, sd)
         acts01 = [
             sigmoid(self.actor_targets[i].mlp.forward(next_states[:, i, :]))
             for i in range(self.n_agents)
         ]
-        return np.concatenate([flat_s] + acts01, axis=1), next_states, acts01
+        return np.concatenate([next_states.reshape(len(next_states), -1)] + acts01, axis=1)
 
-    def critic_loss_global(self, batch):
+    def critic_loss_global(self, batch: Batch):
         """Mean squared Bellman error of the shared critic plus its gradients."""
-        n = len(batch)
-        xs = np.stack([self._joint_input(r.state, r.action) for r in batch])
-        joint_next, _, _ = self._joint_next_batch(batch)
-        rewards = np.array([r.reward for r in batch])  # team reward in global records
-        ys = rewards + self.cfg.gamma * self.global_critic_target.forward(joint_next)[:, 0]
+        n = len(batch.rewards)
+        xs = self._joint_input(batch.states, batch.actions)
+        joint_next = self._joint_next_batch(batch)
+        ys = batch.rewards + self.cfg.gamma * self.global_critic_target.forward(joint_next)[:, 0]
         q = self.global_critic.forward(xs)[:, 0]
         err = q - ys
         loss = float(np.mean(err**2))
@@ -276,16 +265,15 @@ class MarlCore:
         grads, _ = self.global_critic.backward(xs, upstream)
         return loss, grads
 
-    def critic_loss_local(self, batch, agent: int):
-        n = len(batch)
-        xs = np.stack([self._local_input(r.state[agent], r.action[agent]) for r in batch])
-        next_i = np.stack([r.next_state[agent] for r in batch])
+    def critic_loss_local(self, batch: Batch, agent: int):
+        n = len(batch.rewards)
+        xs = self._local_input(batch.states[:, agent], batch.actions[:, agent])
+        next_i = batch.next_states[:, agent]
         a01_next = sigmoid(self.actor_targets[agent].mlp.forward(next_i))
         q_next = self.local_critic_targets[agent].forward(
             np.concatenate([next_i, a01_next], axis=1)
         )[:, 0]
-        rewards = np.array([r.reward for r in batch])
-        ys = rewards + self.cfg.gamma * q_next
+        ys = batch.rewards + self.cfg.gamma * q_next
         q = self.local_critics[agent].forward(xs)[:, 0]
         err = q - ys
         loss = float(np.mean(err**2))
@@ -293,19 +281,19 @@ class MarlCore:
         grads, _ = self.local_critics[agent].backward(xs, upstream)
         return loss, grads
 
-    def actor_gradient(self, batch, agent: int):
+    def actor_gradient(self, batch: Batch, agent: int):
         """Ascent direction of the critic-value objective for one actor.
 
         The centralized term differentiates the shared critic at the joint
         input with this agent's action slot replaced by its current policy;
         the decoupled variants add the local-critic term.
         """
-        n = len(batch)
+        n = len(batch.rewards)
         i = agent
-        states_i = np.stack([r.state[i] for r in batch])
+        states_i = batch.states[:, i]
         a01 = sigmoid(self.actors[i].mlp.forward(states_i))
 
-        joint = np.stack([self._joint_input(r.state, r.action) for r in batch])
+        joint = self._joint_input(batch.states, batch.actions)
         col = self.n_agents * self.state_dim + i * self.action_dim
         joint[:, col : col + self.action_dim] = a01
         _, in_grad = self.global_critic.backward(joint, np.full((n, 1), 1.0 / n))
@@ -321,14 +309,14 @@ class MarlCore:
         return grads
 
     def ready(self) -> bool:
-        return len(self.buffer_global) >= self.cfg.update_after
+        return len(self.replay) >= self.cfg.update_after
 
     def update(self):
         """One round of critic/actor updates with clipped plain SGD."""
         if not self.ready():
             return {}
         cfg = self.cfg
-        batch_g = self._sample(self.pool_global, cfg.batch_global, self._upd_rng_g)
+        batch_g = self._sample(0, cfg.batch_global)
         loss_g, grads = self.critic_loss_global(batch_g)
         grads, _ = clip_gradients(grads, cfg.clip_norm)
         sgd_step(self.global_critic, grads, cfg.lr_critic)
@@ -336,7 +324,7 @@ class MarlCore:
 
         local_losses = []
         for i in range(self.n_agents):
-            batch_l = self._sample(self.pools_local[i], cfg.batch_local, self._upd_rng_l[i])
+            batch_l = self._sample(1 + i, cfg.batch_local)
             if self.variant.local_critic:
                 loss_l, grads_l = self.critic_loss_local(batch_l, i)
                 grads_l, _ = clip_gradients(grads_l, cfg.clip_norm)
@@ -367,30 +355,13 @@ class MarlCore:
         """JSON-serializable dump: nets, replay contents and stream states.
 
         Field order is fixed: per net all weight matrices input-to-output,
-        then all bias vectors.
+        then all bias vectors.  Replay arrays are trimmed to the filled rows.
         """
         def net(m):
             return [p.tolist() for p in m.parameters()]
 
-        def buf(b):
-            return {
-                "next_uid": b._next_uid,
-                "records": [
-                    {
-                        "state": r.state.tolist(),
-                        "action": r.action.tolist(),
-                        "reward": r.reward,
-                        "next_state": r.next_state.tolist(),
-                        "loss": r.loss,
-                        "n": r.n,
-                        "pr": r.pr,
-                        "uid": r.uid,
-                    }
-                    for r in b.records
-                ],
-            }
-
-        out = {
+        r, n = self.replay, len(self.replay)
+        return {
             "layer": self.layer,
             "n_agents": self.n_agents,
             "state_dim": self.state_dim,
@@ -401,60 +372,64 @@ class MarlCore:
             "global_critic_target": net(self.global_critic_target),
             "local_critics": [net(c) for c in self.local_critics],
             "local_critic_targets": [net(c) for c in self.local_critic_targets],
-            "buffer_global": buf(self.buffer_global),
-            "buffers_local": [buf(b) for b in self.buffers_local],
+            "replay": {
+                "states": r.states[:n].tolist(),
+                "actions": r.actions[:n].tolist(),
+                "next_states": r.next_states[:n].tolist(),
+                "rewards": r.rewards[:, :n].tolist(),
+                "losses": r.losses[:, :n].tolist(),
+                "counts": r.counts[:, :n].tolist(),
+                "priorities": r.priorities[:, :n].tolist(),
+            },
             "rng": {
                 "explore": [g.bit_generator.state for g in self._explore],
-                "pool_global": self._pool_rng_g.bit_generator.state,
-                "pool_local": [g.bit_generator.state for g in self._pool_rng_l],
-                "update_global": self._upd_rng_g.bit_generator.state,
-                "update_local": [g.bit_generator.state for g in self._upd_rng_l],
+                "pool": [g.bit_generator.state for g in self._pool_rngs],
+                "update": [g.bit_generator.state for g in self._upd_rngs],
             },
         }
-        return out
 
     def load_state_dict(self, state: dict):
-        def setnet(m, params):
-            m.set_parameters([np.asarray(p, dtype=float) for p in params])
-
-        def setbuf(b, data):
-            b.records = [
-                Experience(
-                    state=np.asarray(r["state"], dtype=float),
-                    action=np.asarray(r["action"], dtype=float),
-                    reward=float(r["reward"]),
-                    next_state=np.asarray(r["next_state"], dtype=float),
-                    loss=float(r["loss"]),
-                    n=int(r["n"]),
-                    pr=float(r["pr"]),
-                    uid=int(r["uid"]),
+        """Restore a ``state_dict`` dump; any shape this core cannot hold raises ValueError."""
+        def check(name, value, shape, dtype=float):
+            arr = np.asarray(value, dtype=dtype)
+            if arr.shape != shape and not (arr.size == 0 and 0 in shape):
+                raise ValueError(
+                    f"checkpoint layer {self.layer} {name} has shape {arr.shape}; "
+                    f"this configuration needs {shape}"
                 )
-                for r in data["records"]
-            ]
-            b._next_uid = int(data["next_uid"])
+            return arr.reshape(shape)
 
-        for a, p in zip(self.actors, state["actors"]):
-            setnet(a.mlp, p)
-        for a, p in zip(self.actor_targets, state["actor_targets"]):
-            setnet(a.mlp, p)
-        setnet(self.global_critic, state["global_critic"])
-        setnet(self.global_critic_target, state["global_critic_target"])
-        for c, p in zip(self.local_critics, state["local_critics"]):
-            setnet(c, p)
-        for c, p in zip(self.local_critic_targets, state["local_critic_targets"]):
-            setnet(c, p)
-        setbuf(self.buffer_global, state["buffer_global"])
-        for b, d in zip(self.buffers_local, state["buffers_local"]):
-            setbuf(b, d)
+        def setnets(name, nets, params):
+            if len(params) != len(nets):
+                raise ValueError(f"checkpoint layer {self.layer} holds {len(params)} {name}; "
+                                 f"this configuration needs {len(nets)}")
+            for m, p in zip(nets, params):
+                m.set_parameters([np.asarray(w, dtype=float) for w in p])
+
+        setnets("actors", [a.mlp for a in self.actors], state["actors"])
+        setnets("actor_targets", [a.mlp for a in self.actor_targets], state["actor_targets"])
+        setnets("global_critic", [self.global_critic], [state["global_critic"]])
+        setnets("global_critic_target", [self.global_critic_target],
+                [state["global_critic_target"]])
+        setnets("local_critics", self.local_critics, state["local_critics"])
+        setnets("local_critic_targets", self.local_critic_targets, state["local_critic_targets"])
+        data, r = state["replay"], self.replay
+        n = np.shape(data["rewards"])[-1]
+        if n > r.capacity:
+            raise ValueError(f"checkpoint layer {self.layer} holds {n} transitions; "
+                             f"buffer_capacity is {r.capacity}")
+        for key in ("states", "actions", "next_states"):
+            arr = getattr(r, key)
+            arr[:n] = check(key, data[key], (n, *arr.shape[1:]))
+        for key in ("rewards", "losses", "counts", "priorities"):
+            arr = getattr(r, key)
+            arr[:, :n] = check(key, data[key], (arr.shape[0], n), arr.dtype)
+        r.size = n
         rng = state["rng"]
-        for g, s in zip(self._explore, rng["explore"]):
-            g.bit_generator.state = s
-        self._pool_rng_g.bit_generator.state = rng["pool_global"]
-        for g, s in zip(self._pool_rng_l, rng["pool_local"]):
-            g.bit_generator.state = s
-        self._upd_rng_g.bit_generator.state = rng["update_global"]
-        for g, s in zip(self._upd_rng_l, rng["update_local"]):
-            g.bit_generator.state = s
+        for name, gens in (("explore", self._explore), ("pool", self._pool_rngs),
+                           ("update", self._upd_rngs)):
+            for g, st in zip(gens, rng[name]):
+                g.bit_generator.state = st
 
 
 class Trainer:
@@ -539,7 +514,7 @@ class Trainer:
             metrics["budgets"].append(info.get("budgets", []))
             metrics["positions"].append(info.get("positions"))
             metrics["losses"].append(losses)
-            prs = [r.pr for r in self.core.buffer_global.records]
+            prs = self.core.replay.priorities[0, : len(self.core.replay)]
             metrics["priority_stats"].append(
                 (float(np.min(prs)), float(np.mean(prs)), float(np.max(prs)))
             )
@@ -564,16 +539,33 @@ class Trainer:
         return raw, self.env_actions(raw), None, {}
 
     # -- checkpoints --------------------------------------------------------------
+    def _layers(self) -> dict:
+        """The control layers' cores, keyed as in checkpoints."""
+        return {"1": self.core}
+
     def state_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "scenario": self.scenario,
             "global_step": self.global_step,
-            "layers": {"1": self.core.state_dict()},
+            "layers": {key: core.state_dict() for key, core in self._layers().items()},
         }
 
     def load_state_dict(self, state: dict):
-        if state.get("version") != 1:
-            raise ValueError("unsupported checkpoint version")
+        if state.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version {state.get('version')}; "
+                f"this program reads version {CHECKPOINT_VERSION}"
+            )
+        layers = self._layers()
+        if sorted(state["layers"]) != sorted(layers):
+            raise ValueError(f"checkpoint holds layers {sorted(state['layers'])}; "
+                             f"this configuration has {sorted(layers)}")
         self.global_step = int(state["global_step"])
-        self.core.load_state_dict(state["layers"]["1"])
+        for key, core in layers.items():
+            core.load_state_dict(state["layers"][key])
+            # every training step stores one transition per layer
+            if len(core.replay) != min(self.global_step, core.replay.capacity):
+                raise ValueError(f"checkpoint layer {key} holds {len(core.replay)} transitions "
+                                 f"after {self.global_step} steps; buffer_capacity is "
+                                 f"{core.replay.capacity}")

@@ -21,9 +21,6 @@ from .channel import ChannelStats, sample_ssf_batch
 __all__ = [
     "PowerAllocation",
     "SeReport",
-    "uplink_receive",
-    "mr_combiner",
-    "cpu_estimate",
     "se_monte_carlo",
     "se_closed_form_mr",
     "gaussian_moment_oracle",
@@ -85,47 +82,6 @@ class SeReport:
         per_ue = np.asarray(self.per_ue, dtype=float)
         object.__setattr__(self, "per_ue", per_ue)
         object.__setattr__(self, "sum_se", float(per_ue.sum()))
-
-
-def uplink_receive(channels, powers, symbols, noise_power, rng) -> np.ndarray:
-    """Received vector at one base station for simultaneous uplink users.
-
-    Parameters
-    ----------
-    channels : list of (N_r, N_s) arrays, one per user.
-    powers : list of PowerAllocation, one per user.
-    symbols : list of (N_s,) transmit symbol vectors.
-    noise_power : variance of the additive circular Gaussian noise.
-    """
-    if not channels:
-        raise ValueError("at least one user required")
-    if not (len(channels) == len(powers) == len(symbols)):
-        raise ValueError("channels, powers and symbols must have equal length")
-    n_r = channels[0].shape[0]
-    y = np.zeros(n_r, dtype=complex)
-    for g, p, x in zip(channels, powers, symbols):
-        x = np.asarray(x)
-        if g.shape[1] != p.n_s or x.shape != (p.n_s,):
-            raise ValueError("dimension mismatch between channel, power and symbols")
-        y += g @ (p.matrix @ x)
-    if noise_power > 0:
-        noise = (
-            rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
-        ) * math.sqrt(noise_power / 2.0)
-        y += noise
-    return y
-
-
-def mr_combiner(channel: np.ndarray) -> np.ndarray:
-    """Maximum-ratio combining matrix: the channel itself."""
-    return channel
-
-
-def cpu_estimate(local_estimates) -> np.ndarray:
-    """Average the per-base-station symbol estimates at the central unit."""
-    if len(local_estimates) == 0:
-        raise ValueError("no local estimates to combine")
-    return np.mean(np.asarray(local_estimates), axis=0)
 
 
 # ---------------------------------------------------------------------------

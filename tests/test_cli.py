@@ -1,8 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from xlmimo.harness.cli import main
+
+# the presets the README's dump-config line names
+README_PRESETS = re.search(
+    r"xlmimo dump-config .*--preset ([\w|]+)\]",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+).group(1).split("|")
 
 TINY = {
     "episodes": 2,
@@ -52,6 +60,24 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
+        assert main(["train", "--config", str(tiny_config_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        state = json.loads(path.read_text())
+        state["version"] = 1
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(tiny_config_path), "--checkpoint", str(path),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 3
+        assert "checkpoint version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", README_PRESETS)
+    def test_dump_config_readme_presets(self, preset, capsys):
+        assert main(["dump-config", "--preset", preset]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestTrainCli:

@@ -5,7 +5,7 @@ import pytest
 
 from xlmimo.dlpc import DoubleLayerTrainer, broadcast_budget, layer2_allocate, split_reward
 from xlmimo.env import CellFreeEnv, EnvParams
-from xlmimo.marl.replay import Experience
+from xlmimo.marl.replay import Batch
 from xlmimo.marl.trainer import MarlCore, Trainer, TrainerSettings, resolve_variant
 from xlmimo.seeding import stream
 
@@ -110,16 +110,16 @@ class TestSameMachineryAcrossLayers:
         for c1, c2 in zip(core1.local_critic_targets, core2.local_critic_targets):
             c2.copy_from(c1)
         rng = np.random.default_rng(6)
-        batch = [
-            Experience(
+        rows = [
+            (
                 rng.uniform(0, 1, (2, 2)),
                 rng.uniform(0, 1, (2, 1)),
                 rng.uniform(0, 1),
                 rng.uniform(0, 1, (2, 2)),
-                loss=1.0,
             )
             for _ in range(5)
         ]
+        batch = Batch(*(np.array(column) for column in zip(*rows)))
         l1, g1 = core1.critic_loss_global(batch)
         l2, g2 = core2.critic_loss_global(batch)
         assert l1 == l2

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlmimo.harness.config import make_config
+from xlmimo.harness.run import build_trainer
 from xlmimo.marl.replay import (
-    Experience,
     ReplayBuffer,
     fill_extraction_pool,
     priority_ranked,
@@ -12,15 +15,15 @@ from xlmimo.marl.replay import (
 )
 
 
-def record(loss=1.0, n=0):
-    return Experience(
-        state=np.zeros((1, 1)),
-        action=np.zeros((1, 1)),
-        reward=0.0,
-        next_state=np.zeros((1, 1)),
-        loss=loss,
-        n=n,
-    )
+def store(capacity, n_agents=1):
+    return ReplayBuffer(capacity, n_agents, state_dim=1, action_dim=1)
+
+
+def add(buf, loss=1.0, tag=0.0):
+    """One transition whose arrays all carry ``tag``; every critic stores ``loss``."""
+    n_agents = buf.states.shape[1]
+    joint = np.full((n_agents, 1), tag)
+    buf.add(joint, joint, np.full(n_agents + 1, tag), joint, np.full(n_agents + 1, loss))
 
 
 class TestPrioritySimple:
@@ -69,78 +72,150 @@ class TestPriorityRanked:
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3)
+        buf = store(capacity=3)
         for loss in [1.0, 2.0, 3.0, 4.0]:
-            buf.add(record(loss=loss))
+            add(buf, loss=loss)
         assert len(buf) == 3
-        assert [r.loss for r in buf.records] == [2.0, 3.0, 4.0]
-        assert [r.uid for r in buf.records] == [1, 2, 3]
+        np.testing.assert_array_equal(buf.losses, [[2.0, 3.0, 4.0]] * 2)
+
+    def test_overflow_keeps_every_array_oldest_first(self):
+        buf = ReplayBuffer(3, n_agents=2, state_dim=2, action_dim=1)
+        for t in range(5):
+            buf.add(
+                np.full((2, 2), t), np.full((2, 1), 10 + t), [30 + t, 40 + t, 50 + t],
+                np.full((2, 2), 20 + t), [t, t + 0.5, t + 0.25],
+            )
+            buf.counts[:, len(buf) - 1] = [t, 2 * t, 3 * t]
+            buf.priorities[:, len(buf) - 1] = [t / 10, t / 20, t / 40]
+        kept = np.array([2, 3, 4])
+        np.testing.assert_array_equal(buf.states, np.broadcast_to(kept[:, None, None], (3, 2, 2)))
+        np.testing.assert_array_equal(buf.actions[:, :, 0], np.stack([10 + kept] * 2, axis=1))
+        np.testing.assert_array_equal(buf.next_states[:, 1, 0], 20 + kept)
+        np.testing.assert_array_equal(buf.rewards, [30 + kept, 40 + kept, 50 + kept])
+        np.testing.assert_array_equal(buf.losses, [kept, kept + 0.5, kept + 0.25])
+        np.testing.assert_array_equal(buf.counts, [kept, 2 * kept, 3 * kept])
+        np.testing.assert_array_equal(buf.priorities, [kept / 10, kept / 20, kept / 40])
 
     def test_capacity_never_exceeded(self):
-        buf = ReplayBuffer(capacity=5)
+        buf = store(capacity=5)
         for i in range(50):
-            buf.add(record(loss=float(i)))
+            add(buf, loss=float(i))
             assert len(buf) <= 5
 
     def test_refresh_priorities_rules(self):
-        buf = ReplayBuffer(capacity=4)
+        buf = store(capacity=4)
         for loss in [1.0, 3.0]:
-            buf.add(record(loss=loss))
+            add(buf, loss=loss)
         buf.refresh_priorities("simple")
-        np.testing.assert_allclose([r.pr for r in buf.records], [0.25, 0.75])
+        np.testing.assert_allclose(buf.priorities[:, :2], [[0.25, 0.75]] * 2)
         buf.refresh_priorities("ranked", mu=1.0, nu=0.01)
-        assert sum(r.pr for r in buf.records) == pytest.approx(1.0 + 2 * 0.01)
+        np.testing.assert_allclose(buf.priorities[:, :2].sum(axis=1), 1.0 + 2 * 0.01)
 
 
 class TestFillExtractionPool:
     def test_small_buffer_returns_everything(self):
-        buf = ReplayBuffer(capacity=10)
+        buf = store(capacity=10)
         for loss in [1.0, 2.0, 3.0]:
-            buf.add(record(loss=loss))
+            add(buf, loss=loss)
         buf.refresh_priorities("ranked")
-        pool = fill_extraction_pool(buf, 8, np.random.default_rng(0))
-        assert {r.uid for r in pool} == {0, 1, 2}
+        pool = fill_extraction_pool(buf, 0, 8, np.random.default_rng(0))
+        assert set(pool.tolist()) == {0, 1, 2}
 
     def test_counts_incremented_once(self):
-        buf = ReplayBuffer(capacity=10)
+        buf = store(capacity=10)
         for loss in [1.0, 2.0]:
-            buf.add(record(loss=loss))
+            add(buf, loss=loss)
         buf.refresh_priorities("ranked")
-        fill_extraction_pool(buf, 2, np.random.default_rng(0))
-        assert [r.n for r in buf.records] == [1, 1]
+        fill_extraction_pool(buf, 0, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(buf.counts[0, :2], [1, 1])
+
+    def test_bumps_only_its_own_column(self):
+        buf = store(capacity=10, n_agents=2)
+        for loss in [1.0, 2.0, 3.0]:
+            add(buf, loss=loss)
+        buf.refresh_priorities("ranked")
+        pool = fill_extraction_pool(buf, 2, 2, np.random.default_rng(0))
+        expected = np.zeros((3, 10), dtype=int)
+        expected[2, pool] = 1
+        np.testing.assert_array_equal(buf.counts, expected)
 
     def test_dominant_priority_nearly_always_selected(self):
         hits = 0
         trials = 10_000
         rng = np.random.default_rng(1)
-        buf = ReplayBuffer(capacity=4)
+        buf = store(capacity=4)
         for loss in [1.0, 1.0, 1.0, 1.0]:
-            buf.add(record(loss=loss))
+            add(buf, loss=loss)
         # hand-set an overwhelming priority on record 2
-        for r, pr in zip(buf.records, [1e-4, 1e-4, 1.0, 1e-4]):
-            r.pr = pr
+        buf.priorities[0] = [1e-4, 1e-4, 1.0, 1e-4]
         for _ in range(trials):
-            pool = fill_extraction_pool(buf, 1, rng)
-            hits += pool[0].uid == 2
+            pool = fill_extraction_pool(buf, 0, 1, rng)
+            hits += pool[0] == 2
         assert hits / trials >= 0.99
 
     def test_uniform_mode_ignores_priorities(self):
         rng = np.random.default_rng(2)
-        buf = ReplayBuffer(capacity=2)
-        buf.add(record(loss=100.0))
-        buf.add(record(loss=1e-9))
+        buf = store(capacity=2)
+        add(buf, loss=100.0)
+        add(buf, loss=1e-9)
         buf.refresh_priorities("ranked")
-        seen = {fill_extraction_pool(buf, 1, rng, prioritized=False)[0].uid for _ in range(200)}
+        seen = {int(fill_extraction_pool(buf, 0, 1, rng, prioritized=False)[0]) for _ in range(200)}
         assert seen == {0, 1}
 
     def test_empty_buffer_error(self):
         with pytest.raises(ValueError, match="empty"):
-            fill_extraction_pool(ReplayBuffer(4), 1, np.random.default_rng(0))
+            fill_extraction_pool(store(4), 0, 1, np.random.default_rng(0))
 
     def test_missing_loss_error(self):
-        buf = ReplayBuffer(4)
-        r = record()
-        r.loss = float("nan")
-        buf.add(r)
+        buf = store(4)
+        add(buf, loss=float("nan"))
         with pytest.raises(ValueError, match="finite stored loss"):
-            fill_extraction_pool(buf, 1, np.random.default_rng(0))
+            fill_extraction_pool(buf, 0, 1, np.random.default_rng(0))
+
+
+def trained_state(**over):
+    """Checkpoint of a tiny run whose 8 steps overflow a 6-transition store."""
+    cfg = make_config(dict(episodes=1, steps=8, hidden=(6, 4), buffer_capacity=6, pool_size=4,
+                           update_after=4, batch_global=2, batch_local=2, **over))
+    _, trainer = build_trainer(cfg)
+    trainer.train_episode()
+    return cfg, trainer.state_dict()
+
+
+def fresh_trainer(cfg, **over):
+    return build_trainer(dataclasses.replace(cfg, **over))[1]
+
+
+class TestCheckpoint:
+    def test_round_trip_stores_each_transition_once(self):
+        cfg, state = trained_state(architecture="double")
+        assert state["version"] == 2
+        for layer in state["layers"].values():
+            assert set(layer["replay"]) == {"states", "actions", "next_states", "rewards",
+                                            "losses", "counts", "priorities"}
+            assert np.shape(layer["replay"]["states"])[0] == 6
+        trainer = fresh_trainer(cfg)
+        trainer.load_state_dict(state)
+        assert trainer.state_dict() == state
+
+    def test_rejects_version_1(self):
+        cfg, state = trained_state()
+        state["version"] = 1
+        with pytest.raises(ValueError, match="version 1"):
+            fresh_trainer(cfg).load_state_dict(state)
+
+    @pytest.mark.parametrize("capacity", [4, 12])
+    def test_rejects_other_buffer_capacity(self, capacity):
+        cfg, state = trained_state()
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            fresh_trainer(cfg, buffer_capacity=capacity).load_state_dict(state)
+
+    def test_rejects_other_k_ue(self):
+        cfg, state = trained_state()
+        with pytest.raises(ValueError, match="actors"):
+            fresh_trainer(cfg, k_ue=cfg.k_ue + 1).load_state_dict(state)
+
+    def test_rejects_other_architecture(self):
+        cfg, state = trained_state()
+        with pytest.raises(ValueError, match="layers"):
+            fresh_trainer(cfg, architecture="double").load_state_dict(state)

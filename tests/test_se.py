@@ -8,16 +8,13 @@ from xlmimo.se import (
     PowerAllocation,
     SeReport,
     _mc_chunk_sums,
-    cpu_estimate,
     draw_channel_grid,
     gaussian_moment_oracle,
     interference_terms,
     masked_covariance,
-    mr_combiner,
     se_closed_form_mr,
     se_monte_carlo,
     second_moment,
-    uplink_receive,
 )
 
 WL = 0.01
@@ -54,64 +51,6 @@ class TestPowerAllocation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             PowerAllocation([-0.1], budget=1.0)
-
-
-class TestUplinkReceive:
-    def test_zero_power_zero_noise(self):
-        g = np.ones((3, 2), dtype=complex)
-        p = PowerAllocation([0.0, 0.0], budget=1.0)
-        y = uplink_receive([g], [p], [np.ones(2)], 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(y, np.zeros(3))
-
-    def test_identity_passthrough(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        x = rng.standard_normal(2)
-        p = PowerAllocation([1.0, 1.0], budget=2.0)
-        y = uplink_receive([g], [p], [x], 0.0, rng)
-        np.testing.assert_allclose(y, g @ x, atol=1e-14)
-
-    def test_noise_covariance(self):
-        n = 100_000
-        sigma2 = 0.5
-        rng = np.random.default_rng(2)
-        g = np.zeros((2, 1), dtype=complex)
-        p = PowerAllocation([0.0], budget=1.0)
-        ys = np.array(
-            [uplink_receive([g], [p], [np.zeros(1)], sigma2, rng) for _ in range(n)]
-        )
-        emp = np.einsum("ni,nj->ij", ys, np.conj(ys)) / n
-        rel = np.linalg.norm(emp - sigma2 * np.eye(2)) / np.linalg.norm(sigma2 * np.eye(2))
-        assert rel <= 0.05
-
-    def test_dimension_mismatch(self):
-        g = np.ones((3, 2), dtype=complex)
-        p = PowerAllocation([1.0], budget=1.0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            uplink_receive([g], [p], [np.ones(1)], 0.0, np.random.default_rng(0))
-
-
-class TestCombinerAndCpu:
-    def test_mr_is_identity_on_channel(self):
-        g = np.arange(6, dtype=complex).reshape(3, 2)
-        assert mr_combiner(g) is g
-        np.testing.assert_array_equal(mr_combiner(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_gram_psd(self):
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        v = mr_combiner(g)
-        eigs = np.linalg.eigvalsh(np.conj(v.T) @ g)
-        assert eigs.min() >= -1e-12
-
-    def test_cpu_estimate(self):
-        one = [np.array([1.0 + 1j, 2.0])]
-        np.testing.assert_array_equal(cpu_estimate(one), one[0])
-        same = [one[0], one[0], one[0]]
-        np.testing.assert_array_equal(cpu_estimate(same), one[0])
-        np.testing.assert_allclose(cpu_estimate([3.0 * x for x in same]), 3.0 * one[0])
-        with pytest.raises(ValueError):
-            cpu_estimate([])
 
 
 class TestMonteCarloSe:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xlmimo.marl.nets import Mlp, global_norm, sigmoid
+from xlmimo.marl.replay import Batch
 from xlmimo.marl.trainer import (
     MarlCore,
     Trainer,
@@ -70,15 +71,12 @@ def make_core(variant="mimo-maddpg", n_agents=2, seed=0, **over):
 
 def fake_batch(core, n=4, seed=0):
     rng = np.random.default_rng(seed)
-    from xlmimo.marl.replay import Experience
-
-    batch = []
+    rows = []
     for _ in range(n):
         s = rng.uniform(0, 1, (core.n_agents, core.state_dim))
         a = rng.uniform(0, 0.2, (core.n_agents, core.action_dim))
-        s2 = rng.uniform(0, 1, (core.n_agents, core.state_dim))
-        batch.append(Experience(s, a, rng.uniform(0, 1), s2, loss=1.0))
-    return batch
+        rows.append((s, a, rng.uniform(0, 1), rng.uniform(0, 1, (core.n_agents, core.state_dim))))
+    return Batch(*(np.array(column) for column in zip(*rows)))
 
 
 class TestVariants:
@@ -98,8 +96,7 @@ class TestCriticLosses:
         constant_critic(core.global_critic, 0.0)
         constant_critic(core.global_critic_target, 0.0)
         batch = fake_batch(core, 3)
-        for r in batch:
-            r.reward = 0.0
+        batch.rewards[:] = 0.0
         loss, grads = core.critic_loss_global(batch)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
@@ -110,7 +107,7 @@ class TestCriticLosses:
         constant_critic(core.global_critic, 0.7)
         batch = fake_batch(core, 5)
         loss, _ = core.critic_loss_global(batch)
-        expected = float(np.mean([(0.7 - r.reward) ** 2 for r in batch]))
+        expected = float(np.mean([(0.7 - r) ** 2 for r in batch.rewards]))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_hand_computed_bellman_value(self):
@@ -118,7 +115,7 @@ class TestCriticLosses:
         constant_critic(core.global_critic, 1.0)
         constant_critic(core.global_critic_target, 1.0)
         batch = fake_batch(core, 1)
-        batch[0].reward = 0.5
+        batch.rewards[0] = 0.5
         loss, _ = core.critic_loss_global(batch)
         # y = 0.5 + 0.99 * 1 = 1.49; (1 - 1.49)^2 = 0.2401
         assert loss == pytest.approx(0.2401, rel=1e-12)
@@ -128,14 +125,13 @@ class TestCriticLosses:
         constant_critic(core.local_critics[0], 1.0)
         constant_critic(core.local_critic_targets[0], 1.0)
         batch = fake_batch(core, 1)
-        batch[0].reward = 0.5
+        batch.rewards[0] = 0.5
         loss, grads = core.critic_loss_local(batch, 0)
         assert loss == pytest.approx(0.2401, rel=1e-12)
         constant_critic(core.local_critics[1], 0.0)
         constant_critic(core.local_critic_targets[1], 0.0)
         b2 = fake_batch(core, 3)
-        for r in b2:
-            r.reward = 0.0
+        b2.rewards[:] = 0.0
         loss2, grads2 = core.critic_loss_local(b2, 1)
         assert loss2 == 0.0
         assert all(np.all(g == 0) for g in grads2)
@@ -157,10 +153,10 @@ class TestActorGradient:
 
         # straight-line evaluation of each brace
         i = 1
-        n = len(batch)
-        states_i = np.stack([r.state[i] for r in batch])
+        n = len(batch.rewards)
+        states_i = np.stack([s[i] for s in batch.states])
         a01 = sigmoid(core.actors[i].mlp.forward(states_i))
-        joint = np.stack([core._joint_input(r.state, r.action) for r in batch])
+        joint = np.stack([core._joint_input(s, a) for s, a in zip(batch.states, batch.actions)])
         col = core.n_agents * core.state_dim + i * core.action_dim
         joint[:, col : col + core.action_dim] = a01
         _, in_g = core.global_critic.backward(joint, np.full((n, 1), 1.0 / n))
@@ -183,16 +179,16 @@ class TestActorGradient:
 
         def objective():
             total = 0.0
-            for r in batch:
-                a01 = sigmoid(core.actors[i].mlp.forward(r.state[i]))
-                joint = core._joint_input(r.state, r.action)
+            for state, action in zip(batch.states, batch.actions):
+                a01 = sigmoid(core.actors[i].mlp.forward(state[i]))
+                joint = core._joint_input(state, action)
                 col = core.n_agents * core.state_dim + i * core.action_dim
                 joint = joint.copy()
                 joint[col : col + core.action_dim] = a01
                 total += float(core.global_critic.forward(joint)[0])
-                local_x = np.concatenate([r.state[i], a01])
+                local_x = np.concatenate([state[i], a01])
                 total += float(core.local_critics[i].forward(local_x)[0])
-            return total / len(batch)
+            return total / len(batch.rewards)
 
         rng = np.random.default_rng(7)
         direction = [rng.standard_normal(p.shape) for p in core.actors[i].parameters()]
@@ -285,8 +281,7 @@ class TestTrainEpisode:
         # gradients beyond the threshold come back with norm exactly at it
         core = make_core(n_agents=1, seed=8)
         batch = fake_batch(core, 4, seed=9)
-        for r in batch:
-            r.reward = 100.0  # force a large Bellman error
+        batch.rewards[:] = 100.0  # force a large Bellman error
         loss, grads = core.critic_loss_global(batch)
         from xlmimo.marl.nets import clip_gradients
 
