@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,9 @@ __all__ = [
     "wave_vector_matrix",
     "variance_profile",
     "correlation_matrix",
-    "sample_ssf",
     "sample_ssf_batch",
     "lsf_matrix",
     "fresnel_beta",
-    "channel_matrix",
     "make_channel_stats",
     "radiation_pattern_gain",
 ]
@@ -195,35 +193,16 @@ def wave_vector_matrix(
     return np.exp(-1j * phase) / n
 
 
-def variance_profile(
-    lattice: WavenumberLattice,
-    n_antennas: int,
-    model: str = "isotropic",
-    weights=None,
-) -> np.ndarray:
+def variance_profile(lattice: WavenumberLattice, n_antennas: int) -> np.ndarray:
     """Per-lattice-point standard deviations scaled by sqrt(n_antennas).
 
-    ``isotropic`` spreads unit total power uniformly over the lattice;
-    ``custom`` normalizes the supplied nonnegative ``weights`` to unit total
-    power.  The returned vector collects sqrt(N) * sigma per point.
+    The isotropic profile spreads unit total power uniformly over the
+    lattice; the returned vector collects sqrt(N) * sigma per point.
     """
     n_pts = lattice.n_points
     if n_pts == 0:
         raise ValueError("lattice must be non-empty")
-    if model == "isotropic":
-        var = np.full(n_pts, 1.0 / n_pts)
-    elif model == "custom":
-        if weights is None:
-            raise ValueError("custom model requires weights")
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_pts,):
-            raise ValueError("weights length must match the lattice size")
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        var = w / w.sum()
-    else:
-        raise ValueError(f"unknown spectral model {model!r}")
-    return np.sqrt(n_antennas * var)
+    return np.sqrt(n_antennas * np.full(n_pts, 1.0 / n_pts))
 
 
 def correlation_matrix(u_r, u_s, v_r, v_s) -> np.ndarray:
@@ -243,11 +222,6 @@ def correlation_matrix(u_r, u_s, v_r, v_s) -> np.ndarray:
     d = np.kron(v_s**2, v_r**2)
     r = (a * d) @ np.conj(a.T)
     return (r + np.conj(r.T)) / 2.0
-
-
-def sample_ssf(stats: ChannelStats, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the small-scale fading matrix (N_r x N_s)."""
-    return sample_ssf_batch(stats, 1, rng)[0]
 
 
 def sample_ssf_batch(stats: ChannelStats, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -306,36 +280,20 @@ def fresnel_beta(geom_r: ArrayGeometry, geom_s: ArrayGeometry, wavelength: float
     return float(np.sqrt(radiation_pattern_gain(cos_theta)) * wavelength / (4.0 * math.pi * d))
 
 
-def channel_matrix(lsf, ssf) -> np.ndarray:
-    """Elementwise product of large- and small-scale fading.
-
-    ``lsf`` may be a scalar (far-distance approximation) or a matrix of the
-    same shape as ``ssf``.
-    """
-    ssf = np.asarray(ssf)
-    if np.isscalar(lsf) or np.ndim(lsf) == 0:
-        return float(lsf) * ssf
-    lsf = np.asarray(lsf)
-    if lsf.shape != ssf.shape:
-        raise ValueError(f"shape mismatch: lsf {lsf.shape} vs ssf {ssf.shape}")
-    return lsf * ssf
-
-
 def make_channel_stats(
     geom_r: ArrayGeometry,
     geom_s: ArrayGeometry,
     wavelength: float,
-    model: str = "isotropic",
-    weights_r=None,
-    weights_s=None,
     raw_kz: bool = False,
     with_lsf: bool = True,
 ) -> ChannelStats:
     """Assemble the full second-order statistics for one link.
 
     Wave-vector matrices are built in each surface's local frame (positions
-    relative to its own center); large-scale fading uses the absolute
-    positions.
+    relative to its own center) and both sides take the isotropic variance
+    profile; large-scale fading uses the absolute positions.  ``with_lsf``
+    False leaves ``lsf`` and ``beta`` unset (the environment fills them in
+    per link).
     """
     for g, tag in ((geom_r, "receive"), (geom_s, "transmit")):
         if g.spacing >= wavelength / 2.0:
@@ -349,8 +307,8 @@ def make_channel_stats(
     lat_s = wavenumber_lattice(local_s.length_x, local_s.length_y, wavelength)
     u_r = wave_vector_matrix(lat_r, local_r, wavelength, raw_kz=raw_kz)
     u_s = wave_vector_matrix(lat_s, local_s, wavelength, raw_kz=raw_kz)
-    v_r = variance_profile(lat_r, local_r.n_antennas, model=model, weights=weights_r)
-    v_s = variance_profile(lat_s, local_s.n_antennas, model=model, weights=weights_s)
+    v_r = variance_profile(lat_r, local_r.n_antennas)
+    v_s = variance_profile(lat_s, local_s.n_antennas)
     corr = correlation_matrix(u_r, u_s, v_r, v_s)
     lsf = beta = None
     if with_lsf:

@@ -24,8 +24,6 @@ __all__ = [
     "DoubleLayerTrainer",
 ]
 
-LAYER2_MODES = ("learned", "uniform", "off")
-
 
 def broadcast_budget(layer1_powers, n_s: int) -> np.ndarray:
     """Repeat each user's budget once per antenna: [p1..p1, p2..p2, ...]."""
@@ -67,10 +65,10 @@ def layer2_allocate(normalized_actions, budgets, n_s: int) -> list[PowerAllocati
 class DoubleLayerTrainer(Trainer):
     """Runs the user layer and the per-antenna layer in lockstep.
 
-    ``layer2_mode``: ``learned`` trains and uses the antenna agents,
-    ``uniform`` trains them but forces the uniform split (degenerate
-    equivalence checks), ``off`` removes the second layer entirely and
-    reproduces the single-layer trainer step for step.
+    Layer 1 (``core``) picks each user's budget and move; layer 2
+    (``core2``) holds one agent per user antenna whose learned weights split
+    that budget.  With ``weight_sharing`` the antennas of one user share a
+    single parameter set.
     """
 
     def __init__(
@@ -80,28 +78,22 @@ class DoubleLayerTrainer(Trainer):
         variant,
         master_seed: int,
         scenario: str = "static",
-        layer2_mode: str = "learned",
         weight_sharing: bool = False,
     ):
         super().__init__(env, settings, variant, master_seed, scenario)
-        if layer2_mode not in LAYER2_MODES:
-            raise ValueError(f"layer2_mode must be one of {LAYER2_MODES}")
-        self.layer2_mode = layer2_mode
-        self.core2 = None
-        if layer2_mode != "off":
-            n_s = env.n_s
-            k_ue = env.n_agents
-            share = [k for k in range(k_ue) for _ in range(n_s)] if weight_sharing else None
-            self.core2 = MarlCore(
-                layer=2,
-                n_agents=k_ue * n_s,
-                state_dim=2,  # aggregated fading + broadcast budget
-                action_ranges=np.array([1.0]),
-                settings=settings,
-                variant=self.variant,
-                master_seed=master_seed,
-                share_groups=share,
-            )
+        n_s = env.n_s
+        k_ue = env.n_agents
+        share = [k for k in range(k_ue) for _ in range(n_s)] if weight_sharing else None
+        self.core2 = MarlCore(
+            layer=2,
+            n_agents=k_ue * n_s,
+            state_dim=2,  # aggregated fading + broadcast budget
+            action_ranges=np.array([1.0]),
+            settings=settings,
+            variant=self.variant,
+            master_seed=master_seed,
+            share_groups=share,
+        )
 
     # -- layer-2 views ----------------------------------------------------------
     def _layer2_states(self, budgets, env) -> np.ndarray:
@@ -117,28 +109,21 @@ class DoubleLayerTrainer(Trainer):
         budgets = self._budgets_from_raw(raw1)
         s2 = self._layer2_states(budgets, env)
         raw2 = self.core2.act(s2, noise_std)
-        weights = np.full(len(raw2), 1.0) if self.layer2_mode == "uniform" else raw2[:, 0]
-        return s2, raw2, layer2_allocate(weights, budgets, env.n_s)
+        return s2, raw2, layer2_allocate(raw2[:, 0], budgets, env.n_s)
 
     # -- per-step hooks -----------------------------------------------------------
     def _choose(self, obs, noise_std):
         raw1 = self.core.act(obs, noise_std)
-        if self.core2 is None:
-            return raw1, self.env_actions(raw1), None, {}
         s2, raw2, allocations = self._layer2(raw1, self.env, noise_std)
         return raw1, self.env_actions(raw1), allocations, {"s2": s2, "raw2": raw2}
 
     def _greedy_choose(self, obs, raw1, env):
-        if self.core2 is None:
-            return raw1, self.env_actions(raw1), None, {}
         _, _, allocations = self._layer2(raw1, env, 0.0)
         return raw1, self.env_actions(raw1), allocations, {}
 
     def _store(self, obs, raw1, rewards, next_obs, extras):
         self.core.record(obs, raw1, rewards, next_obs)
         self.core.refresh_and_fill()
-        if self.core2 is None:
-            return
         # next layer-2 state pairs the post-move fading with the budgets the
         # current user policy would pick at the next observation
         next_budgets = self._budgets_from_raw(self.core.greedy(next_obs))
@@ -149,19 +134,9 @@ class DoubleLayerTrainer(Trainer):
 
     def _update(self):
         out = self.core.update()
-        if self.core2 is not None:
-            out2 = self.core2.update()
-            out.update({f"layer2_{k}": v for k, v in out2.items()})
+        out.update({f"layer2_{k}": v for k, v in self.core2.update().items()})
         return out
 
     # -- checkpoints ----------------------------------------------------------------
     def _layers(self) -> dict:
-        layers = super()._layers()
-        if self.core2 is not None:
-            layers["2"] = self.core2
-        return layers
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["layer2_mode"] = self.layer2_mode
-        return state
+        return {**super()._layers(), "2": self.core2}

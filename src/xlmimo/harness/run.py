@@ -110,7 +110,6 @@ def build_trainer(cfg: ExperimentConfig, env: CellFreeEnv | None = None):
             cfg.variant,
             master_seed=cfg.seed,
             scenario=cfg.scenario,
-            layer2_mode="learned",
             weight_sharing=cfg.weight_sharing,
         )
     else:

@@ -21,6 +21,9 @@ __all__ = [
     "soft_update",
 ]
 
+# negative-side slope of every hidden leaky rectifier
+LEAKY_SLOPE = 0.01
+
 
 def sigmoid(z):
     out = np.empty_like(z, dtype=float)
@@ -34,11 +37,10 @@ def sigmoid(z):
 class Mlp:
     """Fully-connected net: affine / leaky-rectifier pairs, linear head."""
 
-    def __init__(self, sizes, rng: np.random.Generator, hidden_slope: float = 0.01):
+    def __init__(self, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = [int(s) for s in sizes]
-        self.slope = hidden_slope
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
@@ -55,10 +57,10 @@ class Mlp:
         return self.sizes[-1]
 
     def _leaky(self, z):
-        return np.where(z > 0, z, self.slope * z)
+        return np.maximum(z, LEAKY_SLOPE * z)
 
     def _leaky_grad(self, z):
-        return np.where(z > 0, 1.0, self.slope)
+        return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
     def forward(self, x) -> np.ndarray:
         return self._forward_cached(np.asarray(x, dtype=float))[0]

@@ -63,7 +63,6 @@ class TrainerSettings:
     episodes: int = 200
     steps: int = 100
     hidden: tuple = (128, 64)
-    hidden_slope: float = 0.01
     lr_actor: float = 0.01
     lr_critic: float = 0.01
     tau: float = 0.01
@@ -104,7 +103,6 @@ class MarlCore:
         self.cfg = settings
         self.variant = variant
         hid = list(settings.hidden)
-        slope = settings.hidden_slope
         # agents with the same group id share one parameter set
         groups = list(range(n_agents)) if share_groups is None else list(share_groups)
         if len(groups) != n_agents:
@@ -121,21 +119,21 @@ class MarlCore:
             if g not in built:
                 actor = Actor(
                     Mlp([state_dim, *hid, self.action_dim],
-                        stream(master_seed, "init", "actor", layer, g), slope),
+                        stream(master_seed, "init", "actor", layer, g)),
                     self.ranges,
                 )
                 target = Actor(
                     Mlp([state_dim, *hid, self.action_dim],
-                        stream(master_seed, "init", "actor", layer, g), slope),
+                        stream(master_seed, "init", "actor", layer, g)),
                     self.ranges,
                 )
                 target.mlp.copy_from(actor.mlp)
                 entry = {"actor": actor, "actor_target": target}
                 if variant.local_critic:
                     critic = Mlp([state_dim + self.action_dim, *hid, 1],
-                                 stream(master_seed, "init", "critic_local", layer, g), slope)
+                                 stream(master_seed, "init", "critic_local", layer, g))
                     critic_t = Mlp([state_dim + self.action_dim, *hid, 1],
-                                   stream(master_seed, "init", "critic_local", layer, g), slope)
+                                   stream(master_seed, "init", "critic_local", layer, g))
                     critic_t.copy_from(critic)
                     entry["critic"] = critic
                     entry["critic_target"] = critic_t
@@ -148,9 +146,9 @@ class MarlCore:
 
         joint_dim = n_agents * (state_dim + self.action_dim)
         self.global_critic = Mlp([joint_dim, *hid, 1],
-                                 stream(master_seed, "init", "critic_global", layer), slope)
+                                 stream(master_seed, "init", "critic_global", layer))
         self.global_critic_target = Mlp([joint_dim, *hid, 1],
-                                        stream(master_seed, "init", "critic_global", layer), slope)
+                                        stream(master_seed, "init", "critic_global", layer))
         self.global_critic_target.copy_from(self.global_critic)
 
         # replay row, pool and stream 0 serve the shared critic, 1 + i agent i's
@@ -520,14 +518,12 @@ class Trainer:
             )
         return metrics
 
-    def greedy_episode(self, env=None, steps: int | None = None) -> dict:
-        """Noise-free rollout without learning; returns its reward trace."""
-        env = env if env is not None else self.env
-        steps = steps if steps is not None else self.cfg.steps
+    def greedy_episode(self, env) -> dict:
+        """Noise-free ``cfg.steps``-step rollout on ``env`` without learning."""
         obs = env.reset()
         rewards_trace = []
         sum_trace = []
-        for _ in range(steps):
+        for _ in range(self.cfg.steps):
             raw = self.core.greedy(obs)
             raw, acts, allocations, _ = self._greedy_choose(obs, raw, env)
             obs, rewards, info = env.step(acts, mode=self.scenario, allocations=allocations)

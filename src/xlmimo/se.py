@@ -38,7 +38,8 @@ class PowerAllocation:
     """Diagonal per-antenna transmit amplitudes under a total power budget.
 
     The transmit matrix is diag(amplitudes); its squared Frobenius norm
-    (the radiated power) may not exceed ``budget`` watts.
+    (the radiated power) may not exceed ``budget`` watts.  Products with
+    it are column broadcasts: X diag(a) = X * a.
     """
 
     amplitudes: np.ndarray
@@ -52,19 +53,6 @@ class PowerAllocation:
             raise ValueError(
                 f"power {self.trace:.6g} W exceeds the budget {self.budget:.6g} W"
             )
-
-    @property
-    def n_s(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.amplitudes.astype(complex))
-
-    @property
-    def gram(self) -> np.ndarray:
-        """P P^H, the diagonal matrix of per-antenna powers."""
-        return np.diag(self.amplitudes.astype(complex) ** 2)
 
     @property
     def trace(self) -> float:
@@ -97,10 +85,8 @@ def masked_covariance(stats: ChannelStats, mask: str = "lsf") -> np.ndarray:
     """Covariance of the vectorized full channel (large-scale applied).
 
     ``lsf`` applies the per-antenna-pair coefficients, ``beta`` the scalar
-    far-distance approximation, ``none`` returns the small-scale covariance.
+    far-distance approximation.
     """
-    if mask == "none":
-        return stats.corr
     if mask == "beta":
         if stats.beta is None:
             raise ValueError("stats carry no scalar beta")
@@ -188,16 +174,15 @@ def se_closed_form_mr(stats_grid, powers, noise_power, mask: str = "lsf") -> SeR
         raise ValueError("one PowerAllocation per user required")
     n_r = stats_grid[0][0].n_r
     n_s = stats_grid[0][0].n_s
-    r4_grid = [
-        [_as_r4(masked_covariance(stats_grid[m][k], mask), n_r, n_s) for k in range(n_ue)]
-        for m in range(n_bs)
-    ]
-    z_grid = [[np.einsum("apai->ip", r4_grid[m][k]) for k in range(n_ue)] for m in range(n_bs)]
-    pbar = [p.gram for p in powers]
+    cov_grid = [[masked_covariance(stats, mask) for stats in row] for row in stats_grid]
+    r4_grid = [[_as_r4(cov, n_r, n_s) for cov in row] for row in cov_grid]
+    z_grid = [[second_moment(cov, n_r, n_s) for cov in row] for row in cov_grid]
+    # P P^H as dense diagonals, the weights interference_terms contracts
+    pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
         z_sum = np.sum([z_grid[m][k] for m in range(n_bs)], axis=0)
-        e_mat = z_sum @ powers[k].matrix
+        e_mat = z_sum * powers[k].amplitudes
         psi = interference_terms(r4_grid, pbar, k) + noise_power * z_sum
         psi = (psi + np.conj(psi.T)) / 2.0
         eigs = np.linalg.eigvalsh(psi)
@@ -225,8 +210,6 @@ def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = 
                 g = stats.lsf[None, :, :] * h
             elif mask == "beta":
                 g = stats.beta * h
-            elif mask == "none":
-                g = h
             else:
                 raise ValueError(f"unknown mask mode {mask!r}")
             out_row.append(g)
@@ -234,8 +217,11 @@ def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = 
     return out
 
 
-def _mc_chunk_sums(stats_grid, pbar, n: int, rng, mask):
-    """Per-chunk accumulators: sums over draws of G^H G and C Pbar C^H."""
+def _mc_chunk_sums(stats_grid, powers_sq, n: int, rng, mask):
+    """Per-chunk accumulators: sums over draws of G^H G and C Pbar C^H.
+
+    ``powers_sq[l]`` holds user l's per-antenna powers, the diagonal of Pbar.
+    """
     n_bs = len(stats_grid)
     n_ue = len(stats_grid[0])
     g = draw_channel_grid(stats_grid, n, rng, mask=mask)
@@ -249,7 +235,7 @@ def _mc_chunk_sums(stats_grid, pbar, n: int, rng, mask):
                 c += np.einsum("dab,dac->dbc", np.conj(g[m][k]), g[m][l])
             if l == k:
                 a_sum[k] = c.sum(axis=0)
-            x = np.einsum("dbc,cq->dbq", c, pbar[l])
+            x = c * powers_sq[l]
             t_sum[k][l] = np.einsum("dbq,deq->dbe", x, np.conj(c)).sum(axis=0)
     return a_sum, t_sum
 
@@ -258,20 +244,17 @@ def se_monte_carlo(
     stats_grid,
     powers,
     noise_power,
-    combiner: str = "mr",
     n_draws: int = 10_000,
     rng: np.random.Generator | None = None,
     mask: str = "lsf",
     chunk_size: int = 2048,
 ) -> SeReport:
-    """Monte-Carlo spectral efficiency over independent channel draws.
+    """Monte-Carlo spectral efficiency under maximum-ratio combining.
 
     Draws are processed in fixed-size chunks, each with its own child
     generator spawned from ``rng``; chunk results are reduced in chunk
     order, so partitioning chunks across workers cannot change the result.
     """
-    if combiner != "mr":
-        raise ValueError(f"unsupported combiner {combiner!r}")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
     if rng is None:
@@ -279,16 +262,16 @@ def se_monte_carlo(
     n_ue = len(stats_grid[0])
     if len(powers) != n_ue:
         raise ValueError("one PowerAllocation per user required")
-    pbar = [p.gram for p in powers]
+    powers_sq = [p.amplitudes**2 for p in powers]
     sizes = [chunk_size] * (n_draws // chunk_size)
     if n_draws % chunk_size:
         sizes.append(n_draws % chunk_size)
     children = rng.spawn(len(sizes))
     chunks = [
-        _mc_chunk_sums(stats_grid, pbar, size, child, mask)
+        _mc_chunk_sums(stats_grid, powers_sq, size, child, mask)
         for size, child in zip(sizes, children)
     ]
-    n_s = pbar[0].shape[0]
+    n_s = powers_sq[0].shape[0]
     a_hat = [np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)]
     t_hat = [[np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)] for _ in range(n_ue)]
     for a_sum, t_sum in chunks:
@@ -299,7 +282,7 @@ def se_monte_carlo(
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
         a_k = a_hat[k] / n_draws
-        e_mat = a_k @ powers[k].matrix
+        e_mat = a_k * powers[k].amplitudes
         psi = sum(t_hat[k][l] for l in range(n_ue)) / n_draws
         psi = psi - e_mat @ np.conj(e_mat.T) + noise_power * a_k
         psi = (psi + np.conj(psi.T)) / 2.0

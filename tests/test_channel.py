@@ -8,18 +8,17 @@ from scipy.integrate import quad
 
 from xlmimo.channel import (
     build_surface,
-    channel_matrix,
     correlation_matrix,
     fresnel_beta,
     lsf_matrix,
     make_channel_stats,
     radiation_pattern_gain,
-    sample_ssf,
     sample_ssf_batch,
     variance_profile,
     wave_vector_matrix,
     wavenumber_lattice,
 )
+from xlmimo.se import draw_channel_grid
 
 WL = 0.01  # 30 GHz carrier
 
@@ -148,18 +147,6 @@ class TestVarianceProfile:
         v = variance_profile(lat, n_antennas=1)
         np.testing.assert_allclose(v, np.sqrt(1.0 / 5.0))
 
-    def test_custom_renormalized(self):
-        lat = wavenumber_lattice(WL / 2, WL / 2, WL)
-        lat2 = wavenumber_lattice(WL, WL / 2, WL)  # 3 points
-        assert lat.n_points == 1 and lat2.n_points == 3
-        v = variance_profile(lat2, 1, model="custom", weights=[4.0, 1.0, 0.0])
-        np.testing.assert_allclose(v, [math.sqrt(0.8), math.sqrt(0.2), 0.0])
-
-    def test_unknown_model(self):
-        lat = wavenumber_lattice(WL, WL, WL)
-        with pytest.raises(ValueError, match="unknown spectral model"):
-            variance_profile(lat, 1, model="directional")
-
 
 class TestCorrelationMatrix:
     def test_zero_variances_give_zero(self):
@@ -194,7 +181,8 @@ class TestSampleSsf:
     def test_zero_variance_gives_zero(self):
         stats = _stats(2, 1, 1, 1)
         stats.v_r = np.zeros_like(stats.v_r)
-        h = sample_ssf(stats, np.random.default_rng(0))
+        h = sample_ssf_batch(stats, 1, np.random.default_rng(0))
+        assert h.shape == (1, 2, 1)
         np.testing.assert_array_equal(h, np.zeros_like(h))
 
     def test_zero_mean(self):
@@ -207,8 +195,8 @@ class TestSampleSsf:
 
     def test_deterministic_given_seed(self):
         stats = _stats(2, 2, 1, 1)
-        h1 = sample_ssf(stats, np.random.default_rng(42))
-        h2 = sample_ssf(stats, np.random.default_rng(42))
+        h1 = sample_ssf_batch(stats, 1, np.random.default_rng(42))
+        h2 = sample_ssf_batch(stats, 1, np.random.default_rng(42))
         np.testing.assert_array_equal(h1, h2)
 
 
@@ -273,23 +261,27 @@ class TestFresnelBeta:
 
 
 class TestChannelMatrix:
+    """The full channel G = lsf * H, as ``draw_channel_grid`` composes it."""
+
     def test_identity_mask(self):
-        h = np.arange(6, dtype=complex).reshape(2, 3)
-        np.testing.assert_array_equal(channel_matrix(np.ones((2, 3)), h), h)
+        stats = _stats(2, 1, 3, 1)
+        stats.lsf = np.ones_like(stats.lsf)
+        g = draw_channel_grid([[stats]], 4, np.random.default_rng(5), mask="lsf")[0][0]
+        h = sample_ssf_batch(stats, 4, np.random.default_rng(5))
+        np.testing.assert_array_equal(g, h)
 
     def test_zero_ssf(self):
-        np.testing.assert_array_equal(
-            channel_matrix(np.ones((2, 2)), np.zeros((2, 2), dtype=complex)),
-            np.zeros((2, 2)),
-        )
+        stats = _stats(2, 1, 2, 1)
+        stats.v_s = np.zeros_like(stats.v_s)
+        g = draw_channel_grid([[stats]], 3, np.random.default_rng(0), mask="lsf")[0][0]
+        np.testing.assert_array_equal(g, np.zeros((3, 2, 2)))
 
     def test_scalar_beta_mode(self):
-        h = (np.arange(4) + 1j).reshape(2, 2)
-        np.testing.assert_array_equal(channel_matrix(0.5, h), 0.5 * h)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            channel_matrix(np.ones((2, 2)), np.zeros((2, 3), dtype=complex))
+        stats = _stats(2, 2, 2, 1)
+        stats.beta = 0.5
+        g = draw_channel_grid([[stats]], 3, np.random.default_rng(1), mask="beta")[0][0]
+        h = sample_ssf_batch(stats, 3, np.random.default_rng(1))
+        np.testing.assert_array_equal(g, 0.5 * h)
 
 
 def _stats(n_h_r, n_v_r, n_h_s, n_v_s, spacing_factor=3.0, separation=30.0):

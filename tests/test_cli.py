@@ -4,13 +4,52 @@ from pathlib import Path
 
 import pytest
 
-from xlmimo.harness.cli import main
+from xlmimo.harness.cli import build_parser, main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 # the presets the README's dump-config line names
 README_PRESETS = re.search(
-    r"xlmimo dump-config .*--preset ([\w|]+)\]",
-    (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8"),
+    r"xlmimo dump-config .*--preset ([\w|]+)\]", README
 ).group(1).split("|")
+
+# the README's command-line block, one token list per command, brackets dropped
+README_COMMANDS = [
+    line.replace("[", " ").replace("]", " ").split()
+    for line in re.search(r"## Command line\s+```bash\n(.*?)```", README, re.S)
+    .group(1).splitlines()
+    if line.startswith("xlmimo ")
+]
+
+# README placeholders that stand for a number
+NUMERIC_PLACEHOLDERS = {"N": "1", "...": "1"}
+
+
+def readme_flag_choices(tokens):
+    """(flag, value) lists covering every ``a|b`` value of a README command.
+
+    The first list takes each flag's first value; each further list swaps in
+    one other value.  A switch (no value) maps to None; numeric placeholders
+    map to a number.
+    """
+    flags = []
+    rest = tokens[2:]
+    i = 0
+    while i < len(rest):
+        assert rest[i].startswith("--"), rest[i]
+        if i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+            values = rest[i + 1].split("|")
+            flags.append((rest[i], [NUMERIC_PLACEHOLDERS.get(v, v) for v in values]))
+            i += 2
+        else:
+            flags.append((rest[i], [None]))
+            i += 1
+    base = [(flag, values[0]) for flag, values in flags]
+    out = [base]
+    for j, (flag, values) in enumerate(flags):
+        for value in values[1:]:
+            out.append(base[:j] + [(flag, value)] + base[j + 1 :])
+    return out
 
 TINY = {
     "episodes": 2,
@@ -78,6 +117,29 @@ class TestExitCodes:
     def test_dump_config_readme_presets(self, preset, capsys):
         assert main(["dump-config", "--preset", preset]) == 0
         assert json.loads(capsys.readouterr().out)
+
+
+class TestReadmeCommandLine:
+    def test_block_lists_every_command(self):
+        # guards the flag test below against a block it fails to find
+        assert sorted(tokens[1] for tokens in README_COMMANDS) == [
+            "dump-config", "eval", "simulate", "sweep", "train"]
+
+    @pytest.mark.parametrize("tokens", README_COMMANDS, ids=lambda t: t[1])
+    def test_every_flag_parses(self, tokens):
+        parser = build_parser()
+        for choice in readme_flag_choices(tokens):
+            argv = [tokens[1]]
+            for flag, value in choice:
+                argv += [flag] if value is None else [flag, value]
+            args = parser.parse_args(argv)
+            for flag, value in choice:
+                got = getattr(args, flag[2:].replace("-", "_"))
+                if value is None:
+                    assert got is True, flag
+                else:
+                    got = got[0] if isinstance(got, list) else got
+                    assert str(got) == value, flag
 
 
 class TestTrainCli:

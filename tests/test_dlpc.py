@@ -132,44 +132,11 @@ class TestSameMachineryAcrossLayers:
 
 
 class TestDoubleLayerTrainer:
-    def test_layer2_off_equals_single_layer(self):
-        settings = small_settings()
-        t_single = Trainer(desk_env(31), settings, "mimo-maddpg", master_seed=31)
-        t_double = DoubleLayerTrainer(
-            desk_env(31), settings, "mimo-maddpg", master_seed=31, layer2_mode="off"
-        )
-        for _ in range(2):
-            m_s = t_single.train_episode()
-            m_d = t_double.train_episode()
-            np.testing.assert_array_equal(np.asarray(m_s["sum_se"]), np.asarray(m_d["sum_se"]))
-            np.testing.assert_array_equal(np.asarray(m_s["actions"]), np.asarray(m_d["actions"]))
-        for a, b in zip(t_single.core.parameter_snapshot()["actors"],
-                        t_double.core.parameter_snapshot()["actors"]):
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa, pb)
-
-    def test_uniform_layer2_matches_single_layer_se(self):
-        settings = small_settings()
-        t_single = Trainer(desk_env(32), settings, "mimo-maddpg", master_seed=32)
-        t_double = DoubleLayerTrainer(
-            desk_env(32), settings, "mimo-maddpg", master_seed=32, layer2_mode="uniform"
-        )
-        m_s = t_single.train_episode()
-        m_d = t_double.train_episode()
-        np.testing.assert_allclose(
-            np.asarray(m_s["sum_se"]), np.asarray(m_d["sum_se"]), atol=1e-12
-        )
-        # layer-1 updates are unaffected by the churning second layer
-        for a, b in zip(t_single.core.parameter_snapshot()["actors"],
-                        t_double.core.parameter_snapshot()["actors"]):
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa, pb)
-
     def test_single_antenna_double_equals_single(self):
         settings = small_settings()
         t_single = Trainer(desk_env(33, n_h_s=1), settings, "mimo-maddpg", master_seed=33)
         t_double = DoubleLayerTrainer(
-            desk_env(33, n_h_s=1), settings, "mimo-maddpg", master_seed=33, layer2_mode="learned"
+            desk_env(33, n_h_s=1), settings, "mimo-maddpg", master_seed=33
         )
         for _ in range(2):
             m_s = t_single.train_episode()
