@@ -229,6 +229,8 @@ def sample_ssf_batch(stats: ChannelStats, n: int, rng: np.random.Generator) -> n
 
     Each Fourier coefficient is an independent circularly-symmetric complex
     Gaussian: two real normals scaled by 1/sqrt(2), real parts drawn first.
+    Draw d is U_r (Q * W_d) U_s^H with Q the outer product of the per-point
+    deviations, taken as two broadcast matrix products.
     """
     n_r_pts = stats.v_r.shape[0]
     n_s_pts = stats.v_s.shape[0]
@@ -236,7 +238,7 @@ def sample_ssf_batch(stats: ChannelStats, n: int, rng: np.random.Generator) -> n
     im = rng.standard_normal((n, n_r_pts, n_s_pts))
     w = (re + 1j * im) / math.sqrt(2.0)
     q = np.outer(stats.v_r, stats.v_s)
-    return np.einsum("ra,nab,sb->nrs", stats.u_r, q[None, :, :] * w, np.conj(stats.u_s))
+    return stats.u_r @ (q * w) @ np.conj(stats.u_s).T
 
 
 def radiation_pattern_gain(cos_theta) -> np.ndarray:

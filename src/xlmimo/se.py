@@ -32,6 +32,10 @@ __all__ = [
 
 RIDGE = 1e-12
 
+# draws per batched Gram in the Monte-Carlo accumulation; bounds the working
+# set beside a chunk's channel draws
+MC_SLICE = 128
+
 
 @dataclass
 class PowerAllocation:
@@ -118,21 +122,21 @@ def _quadratic_through(r4_own: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.einsum("bjai,ab->ij", r4_own, weight)
 
 
-def interference_terms(r4_grid, pbar_list, k: int) -> np.ndarray:
+def interference_terms(r4_grid, weight_grid, k: int) -> np.ndarray:
     """Sum over stations and users of the fourth/second-moment interference.
 
-    Returns sum_m sum_l E{G_mk^H E{G_ml Pbar_l G_ml^H} G_mk} plus, for
-    l = k, the extra same-channel Wick pairing; equals
-    sum_l T_kl - E_k E_k^H after the coherent part cancels.
+    ``weight_grid[m][l]`` is station m's receive-side weight
+    E{G_ml Pbar_l G_ml^H} of user l, the same for every k, so callers build
+    the grid once per allocation.  Returns
+    sum_m sum_l E{G_mk^H weight_grid[m][l] G_mk}, which includes, for l = k,
+    the extra same-channel Wick pairing; equals sum_l T_kl - E_k E_k^H after
+    the coherent part cancels.
     """
-    n_s = pbar_list[k].shape[0]
+    n_s = r4_grid[0][k].shape[1]
     out = np.zeros((n_s, n_s), dtype=complex)
-    n_bs = len(r4_grid)
-    n_ue = len(r4_grid[0])
-    for m in range(n_bs):
-        for l in range(n_ue):
-            w = _weighted_outer(r4_grid[m][l], pbar_list[l])
-            out += _quadratic_through(r4_grid[m][k], w)
+    for r4_row, weight_row in zip(r4_grid, weight_grid):
+        for w in weight_row:
+            out += _quadratic_through(r4_row[k], w)
     return out
 
 
@@ -177,13 +181,16 @@ def se_closed_form_mr(stats_grid, powers, noise_power, mask: str = "lsf") -> SeR
     cov_grid = [[masked_covariance(stats, mask) for stats in row] for row in stats_grid]
     r4_grid = [[_as_r4(cov, n_r, n_s) for cov in row] for row in cov_grid]
     z_grid = [[second_moment(cov, n_r, n_s) for cov in row] for row in cov_grid]
-    # P P^H as dense diagonals, the weights interference_terms contracts
+    # P P^H as dense diagonals, weighted through each station's channel once
     pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
+    weight_grid = [
+        [_weighted_outer(r4, pbar_l) for r4, pbar_l in zip(row, pbar)] for row in r4_grid
+    ]
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
         z_sum = np.sum([z_grid[m][k] for m in range(n_bs)], axis=0)
         e_mat = z_sum * powers[k].amplitudes
-        psi = interference_terms(r4_grid, pbar, k) + noise_power * z_sum
+        psi = interference_terms(r4_grid, weight_grid, k) + noise_power * z_sum
         psi = (psi + np.conj(psi.T)) / 2.0
         eigs = np.linalg.eigvalsh(psi)
         if eigs.min() < -1e-8 * max(np.abs(eigs).max(), RIDGE):
@@ -199,7 +206,9 @@ def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = 
     """Draw ``n`` realizations of every link's full channel.
 
     Returns nested lists ``g[m][k]`` of shape (n, N_r, N_s).  Draw order is
-    fixed: stations outer, users inner, one batch per link.
+    fixed: stations outer, users inner, one ``sample_ssf_batch`` call per
+    link, so a generator state gives the same draws however they are later
+    accumulated.
     """
     out = []
     for row in stats_grid:
@@ -218,25 +227,33 @@ def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = 
 
 
 def _mc_chunk_sums(stats_grid, powers_sq, n: int, rng, mask):
-    """Per-chunk accumulators: sums over draws of G^H G and C Pbar C^H.
+    """Per-chunk accumulators: sums over draws of C_kk and C_kl Pbar_l C_kl^H.
 
-    ``powers_sq[l]`` holds user l's per-antenna powers, the diagonal of Pbar.
+    C_kl = sum_m G_mk^H G_ml for one draw; ``powers_sq[l]`` holds user l's
+    per-antenna powers, the diagonal of Pbar_l.  The chunk's draws are
+    walked in slices of ``MC_SLICE``.  In each slice, station m's links
+    stack to X_m of shape (s, N_r, K*N_s), and sum_m X_m^H X_m, one batched
+    Gram per station, holds C_kl as its (k, l) block.  Returns ``a_sum`` of
+    shape (K, N_s, N_s) and ``t_sum`` of shape (K, K, N_s, N_s).
     """
-    n_bs = len(stats_grid)
     n_ue = len(stats_grid[0])
     g = draw_channel_grid(stats_grid, n, rng, mask=mask)
     n_s = g[0][0].shape[2]
-    a_sum = [np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)]
-    t_sum = [[np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)] for _ in range(n_ue)]
-    for k in range(n_ue):
-        for l in range(n_ue):
-            c = np.zeros((n, n_s, n_s), dtype=complex)
-            for m in range(n_bs):
-                c += np.einsum("dab,dac->dbc", np.conj(g[m][k]), g[m][l])
-            if l == k:
-                a_sum[k] = c.sum(axis=0)
-            x = c * powers_sq[l]
-            t_sum[k][l] = np.einsum("dbq,deq->dbe", x, np.conj(c)).sum(axis=0)
+    a_sum = np.zeros((n_ue, n_s, n_s), dtype=complex)
+    t_sum = np.zeros((n_ue, n_ue, n_s, n_s), dtype=complex)
+    for lo in range(0, n, MC_SLICE):
+        size = min(MC_SLICE, n - lo)
+        c = np.zeros((size, n_ue * n_s, n_ue * n_s), dtype=complex)
+        for row in g:
+            x = np.concatenate([g_mk[lo : lo + size] for g_mk in row], axis=2)
+            c += np.conj(x).swapaxes(1, 2) @ x
+        # blocks[k, l, b, d, q] = C_kl[b, q] of draw d
+        blocks = c.reshape(size, n_ue, n_s, n_ue, n_s).transpose(1, 3, 2, 0, 4)
+        a_sum += np.einsum("kkbdq->kbq", blocks)
+        # one product per (k, l) contracts draws and antennas at once
+        y = np.ascontiguousarray(blocks).reshape(n_ue, n_ue, n_s, size * n_s)
+        weights = np.tile(powers_sq, size)[None, :, None, :]
+        t_sum += (y * weights) @ np.conj(y).swapaxes(2, 3)
     return a_sum, t_sum
 
 
@@ -271,19 +288,13 @@ def se_monte_carlo(
         _mc_chunk_sums(stats_grid, powers_sq, size, child, mask)
         for size, child in zip(sizes, children)
     ]
-    n_s = powers_sq[0].shape[0]
-    a_hat = [np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)]
-    t_hat = [[np.zeros((n_s, n_s), dtype=complex) for _ in range(n_ue)] for _ in range(n_ue)]
-    for a_sum, t_sum in chunks:
-        for k in range(n_ue):
-            a_hat[k] += a_sum[k]
-            for l in range(n_ue):
-                t_hat[k][l] += t_sum[k][l]
+    a_hat = sum(a_sum for a_sum, _ in chunks)
+    t_hat = sum(t_sum for _, t_sum in chunks)
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
         a_k = a_hat[k] / n_draws
         e_mat = a_k * powers[k].amplitudes
-        psi = sum(t_hat[k][l] for l in range(n_ue)) / n_draws
+        psi = t_hat[k].sum(axis=0) / n_draws
         psi = psi - e_mat @ np.conj(e_mat.T) + noise_power * a_k
         psi = (psi + np.conj(psi.T)) / 2.0
         per_ue[k] = _logdet_se(e_mat, psi)

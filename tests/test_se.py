@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xlmimo.channel import build_surface, make_channel_stats
+from xlmimo.channel import build_surface, make_channel_stats, sample_ssf_batch
+from xlmimo.env import CellFreeEnv
+from xlmimo.harness.config import make_config
+from xlmimo.seeding import stream
 from xlmimo.se import (
+    MC_SLICE,
     PowerAllocation,
     SeReport,
     _mc_chunk_sums,
@@ -47,6 +54,88 @@ def power_gram(p: PowerAllocation) -> np.ndarray:
     """The dense P P^H of one allocation."""
     pmat = transmit_matrix(p)
     return pmat @ np.conj(pmat.T)
+
+
+@st.composite
+def small_systems(draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1):
+    """Random small cell-free system: (stats_grid, powers) with M, K >= 2.
+
+    Stations are n_h x n_v surfaces of up to 3 x 3 antennas at 10 m height,
+    users the given surface shapes at 1.5 m, all placed in a 200 m square;
+    each user radiates a random share of the 0.2 W budget, split randomly
+    over its antennas.
+    """
+    m_bs = draw(st.integers(2, 3))
+    k_ue = draw(st.integers(2, 3))
+    n_h_r = draw(st.integers(min_r, 3))
+    n_v_r = draw(st.integers(min_r, 3))
+    n_h_s, n_v_s = draw(st.sampled_from(user_shapes))
+    spacing_r = draw(st.floats(0.2, 0.45)) * WL
+    spacing_s = draw(st.floats(0.34, 0.45)) * WL
+    coord = st.floats(0.0, 200.0)
+    users = [
+        build_surface(n_h_s, n_v_s, spacing_s, (draw(coord), draw(coord), 1.5))
+        for _ in range(k_ue)
+    ]
+    grid = []
+    for _ in range(m_bs):
+        rx = build_surface(n_h_r, n_v_r, spacing_r, (draw(coord), draw(coord), 10.0))
+        grid.append([make_channel_stats(rx, tx, WL) for tx in users])
+    n_s = n_h_s * n_v_s
+    powers = []
+    for _ in range(k_ue):
+        shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n_s, max_size=n_s)))
+        load = draw(st.floats(0.2, 1.0))
+        powers.append(PowerAllocation(np.sqrt(0.2 * load * shares / shares.sum()), 0.2))
+    return grid, powers
+
+
+def einsum_sample_ssf_batch(stats, n, rng):
+    """Reference for ``sample_ssf_batch``: the three-operand einsum form."""
+    n_r_pts = stats.v_r.shape[0]
+    n_s_pts = stats.v_s.shape[0]
+    re = rng.standard_normal((n, n_r_pts, n_s_pts))
+    im = rng.standard_normal((n, n_r_pts, n_s_pts))
+    w = (re + 1j * im) / math.sqrt(2.0)
+    q = np.outer(stats.v_r, stats.v_s)
+    return np.einsum("ra,nab,sb->nrs", stats.u_r, q[None, :, :] * w, np.conj(stats.u_s))
+
+
+def loop_chunk_sums(stats_grid, powers_sq, n, rng, mask):
+    """Reference for ``_mc_chunk_sums``: one einsum per (k, l, m) on einsum draws.
+
+    Draws come in ``draw_channel_grid``'s order (stations outer, users inner).
+    """
+    g = [
+        [
+            (stats.lsf[None, :, :] if mask == "lsf" else stats.beta)
+            * einsum_sample_ssf_batch(stats, n, rng)
+            for stats in row
+        ]
+        for row in stats_grid
+    ]
+    n_ue = len(stats_grid[0])
+    n_s = g[0][0].shape[2]
+    a_sum = np.zeros((n_ue, n_s, n_s), dtype=complex)
+    t_sum = np.zeros((n_ue, n_ue, n_s, n_s), dtype=complex)
+    for k in range(n_ue):
+        for l in range(n_ue):
+            c = np.zeros((n, n_s, n_s), dtype=complex)
+            for row in g:
+                c += np.einsum("dab,dac->dbc", np.conj(row[k]), row[l])
+            if l == k:
+                a_sum[k] = c.sum(axis=0)
+            x = c * powers_sq[l]
+            t_sum[k, l] = np.einsum("dbq,deq->dbe", x, np.conj(c)).sum(axis=0)
+    return a_sum, t_sum
+
+
+def assert_blockwise_close(actual, expected, rtol):
+    """Every trailing (N_s, N_s) block within ``rtol`` of its reference, by norm."""
+    actual = actual.reshape(-1, *actual.shape[-2:])
+    expected = expected.reshape(-1, *expected.shape[-2:])
+    for a, e in zip(actual, expected):
+        assert np.linalg.norm(a - e) <= rtol * np.linalg.norm(e)
 
 
 class TestPowerAllocation:
@@ -138,6 +227,97 @@ class TestMonteCarloSe:
         np.testing.assert_array_equal(r1.per_ue, r2.per_ue)
 
 
+class TestMonteCarloReferences:
+    DRAWS = 300  # not a multiple of MC_SLICE: the last slice is partial
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(small_systems(), st.sampled_from(["lsf", "beta"]), st.integers(0, 2**32 - 1))
+    def test_matches_einsum_sampling_and_loop_accumulation(self, system, mask, seed):
+        grid, powers = system
+        assert self.DRAWS % MC_SLICE
+        stats = grid[-1][-1]
+        assert_blockwise_close(
+            sample_ssf_batch(stats, self.DRAWS, np.random.default_rng(seed)),
+            einsum_sample_ssf_batch(stats, self.DRAWS, np.random.default_rng(seed)),
+            rtol=1e-12,
+        )
+        powers_sq = [p.amplitudes**2 for p in powers]
+        a_sum, t_sum = _mc_chunk_sums(
+            grid, powers_sq, self.DRAWS, np.random.default_rng(seed), mask
+        )
+        a_ref, t_ref = loop_chunk_sums(
+            grid, powers_sq, self.DRAWS, np.random.default_rng(seed), mask
+        )
+        assert_blockwise_close(a_sum, a_ref, rtol=1e-12)
+        assert_blockwise_close(t_sum, t_ref, rtol=1e-12)
+
+
+class TestRandomizedAgreement:
+    """Closed form vs Monte-Carlo on random small geometries with full-rank psi.
+
+    Users are 3-antenna rows or columns spaced at least 0.34 wavelengths, so
+    each user-side lattice holds 3 points and every user's sum_m E{G^H G},
+    hence psi, is full rank (checked below).  Geometries with a singular psi,
+    such as 2 x 1 users at a third of a wavelength whose lattice is the single
+    point (0, 0), take the ridge of the log-det and are left to ROADMAP
+    item 2(b).  The tolerance is C01's 2% at 10,000 draws, scaled by
+    sqrt(10,000 / draws).
+    """
+
+    DRAWS = 4000
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_systems(user_shapes=((3, 1), (1, 3)), min_r=2))
+    def test_closed_form_agrees_with_monte_carlo(self, system):
+        grid, powers = system
+        tol = 0.02 * math.sqrt(10_000 / self.DRAWS)
+        n_r, n_s = grid[0][0].n_r, grid[0][0].n_s
+        for mask in ("lsf", "beta"):
+            for k in range(len(powers)):
+                z_sum = sum(
+                    second_moment(masked_covariance(row[k], mask), n_r, n_s) for row in grid
+                )
+                eigs = np.linalg.eigvalsh(z_sum)
+                assert eigs.min() > 1e-3 * eigs.max()
+            closed = se_closed_form_mr(grid, powers, NOISE, mask=mask)
+            mc = se_monte_carlo(
+                grid, powers, NOISE, n_draws=self.DRAWS, rng=np.random.default_rng(17),
+                mask=mask,
+            )
+            rel = np.abs(closed.per_ue - mc.per_ue) / closed.per_ue
+            assert np.all(rel <= tol), f"mask={mask}: relative errors {rel}"
+
+
+class TestMonteCarloMemory:
+    # the C10 trend-lab geometry (tests/test_acceptance.py TREND)
+    TREND_GEOMETRY = dict(
+        wavelength=2.0, area=120.0, min_bs_spacing=40.0, n_h_s=4, n_v_s=1,
+        lsf_mode="lsf", fixed_placement=True, seed=1,
+    )
+
+    def test_peak_below_two_chunks_of_draws(self):
+        # 10,000 draws in chunks of 2048, as `xlmimo simulate` runs on TREND; a
+        # chunk's draws are 2.1 MB and the einsum-per-(k, l, m) accumulation
+        # peaked at 4.2 MB, just above twice that
+        cfg = make_config(self.TREND_GEOMETRY)
+        env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
+        env.reset()
+        grid = env.stats_grid()
+        powers = [full_power(env.n_s, cfg.p_max) for _ in range(cfg.k_ue)]
+        chunk = 2048
+        draw_bytes = sum(chunk * s.n_r * s.n_s * 16 for row in grid for s in row)
+        tracemalloc.start()
+        try:
+            se_monte_carlo(
+                grid, powers, cfg.noise_power, n_draws=10_000, rng=stream(cfg.seed, "mc"),
+                chunk_size=chunk,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * draw_bytes, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestClosedFormSe:
     def test_zero_power_zero_se(self):
         grid = stats_grid(2, 2)
@@ -182,6 +362,10 @@ class TestClosedFormSe:
             [covs[m][k].reshape(n_r, n_s, n_r, n_s, order="F") for k in range(2)]
             for m in range(2)
         ]
+        weights = [
+            [np.einsum("apbq,pq->ab", r4[m][l], pbar[l]) for l in range(2)]
+            for m in range(2)
+        ]
         for k in range(2):
             t_sum = np.zeros((n_s, n_s), dtype=complex)
             for l in range(2):
@@ -203,7 +387,7 @@ class TestClosedFormSe:
             z_sum = z[0][k] + z[1][k]
             e_mat = z_sum @ transmit_matrix(p[k])
             psi_theorem = t_sum - e_mat @ np.conj(e_mat.T) + NOISE * z_sum
-            psi_prod = interference_terms(r4, pbar, k) + NOISE * z_sum
+            psi_prod = interference_terms(r4, weights, k) + NOISE * z_sum
             np.testing.assert_allclose(psi_prod, psi_theorem, rtol=1e-10, atol=1e-22)
 
     def test_deterministic_report(self):
