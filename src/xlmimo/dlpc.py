@@ -112,14 +112,10 @@ class DoubleLayerTrainer(Trainer):
         return s2, raw2, layer2_allocate(raw2[:, 0], budgets, env.n_s)
 
     # -- per-step hooks -----------------------------------------------------------
-    def _choose(self, obs, noise_std):
+    def _choose(self, obs, noise_std, env):
         raw1 = self.core.act(obs, noise_std)
-        s2, raw2, allocations = self._layer2(raw1, self.env, noise_std)
+        s2, raw2, allocations = self._layer2(raw1, env, noise_std)
         return raw1, self.env_actions(raw1), allocations, {"s2": s2, "raw2": raw2}
-
-    def _greedy_choose(self, obs, raw1, env):
-        _, _, allocations = self._layer2(raw1, env, 0.0)
-        return raw1, self.env_actions(raw1), allocations, {}
 
     def _store(self, obs, raw1, rewards, next_obs, extras):
         self.core.record(obs, raw1, rewards, next_obs)

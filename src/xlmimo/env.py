@@ -43,17 +43,14 @@ SCENARIOS = ("static", "dynamic", "pm-dynamic")
 
 @dataclass(frozen=True)
 class MdpTuple:
-    """Decision-process constants: discount, reward thresholds, step factors."""
+    """Decision-process constants: reward thresholds and step factors."""
 
-    gamma: float = 0.99
     r_g: float = 0.01
     r_b: float = 0.002
     alpha: float = 0.2
     beta_acc: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.beta_acc <= 1.0:
@@ -82,12 +79,10 @@ class AgentAction:
 
 @dataclass
 class WorldState:
-    """Snapshot of all positions, the step counter and the generator state."""
+    """Snapshot of all positions."""
 
     bs_positions: np.ndarray  # (M, 3)
     ue_positions: np.ndarray  # (K, 3)
-    time: int
-    rng_state: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -224,12 +219,7 @@ class CellFreeEnv:
         p = self.params
         if p.fixed_placement and self._initial_layout is not None:
             bs0, ue0 = self._initial_layout
-            self.world = WorldState(
-                bs_positions=bs0.copy(),
-                ue_positions=ue0.copy(),
-                time=0,
-                rng_state=self.rng.bit_generator.state,
-            )
+            self.world = WorldState(bs_positions=bs0.copy(), ue_positions=ue0.copy())
             return self.agent_observation()
         bs = np.empty((p.m_bs, 3))
         tries = 0
@@ -257,22 +247,16 @@ class CellFreeEnv:
                 np.full(p.k_ue, p.ue_height),
             ]
         )
-        self.world = WorldState(
-            bs_positions=bs,
-            ue_positions=ue,
-            time=0,
-            rng_state=self.rng.bit_generator.state,
-        )
+        self.world = WorldState(bs_positions=bs, ue_positions=ue)
         if p.fixed_placement:
             self._initial_layout = (bs.copy(), ue.copy())
         return self.agent_observation()
 
-    def set_world(self, bs_positions, ue_positions, time: int = 0):
+    def set_world(self, bs_positions, ue_positions):
         """Install explicit positions (debugging and deterministic tests)."""
         self.world = WorldState(
             bs_positions=wrap_coords(np.asarray(bs_positions, float), self.params.area),
             ue_positions=wrap_coords(np.asarray(ue_positions, float), self.params.area),
-            time=time,
         )
         return self.agent_observation()
 
@@ -356,20 +340,18 @@ class CellFreeEnv:
             allocs.append(project_power(raw, budget))
         return allocs
 
-    def step(self, actions, mode: str | None = None, allocations=None):
+    def step(self, actions, allocations=None):
         """Advance one slot: rewards at the current positions, then movement.
 
         Returns (observation, rewards, info).  Rewards are the per-user
         closed-form SE under the induced (or supplied) power allocations;
-        in mobile modes users then move by (step*cos(angle), step*sin(angle))
-        with the predictive rule rescaling steps in ``pm-dynamic`` mode.
+        in the mobile scenarios users then move by
+        (step*cos(angle), step*sin(angle)) with the predictive rule
+        rescaling steps in ``pm-dynamic``.
         """
         if self.world is None:
             raise RuntimeError("reset() must be called before step()")
         p = self.params
-        mode = p.scenario if mode is None else mode
-        if mode not in SCENARIOS:
-            raise ValueError(f"unknown mode {mode!r}")
         if len(actions) != p.k_ue:
             raise ValueError("one action per user required")
         if allocations is None:
@@ -381,20 +363,18 @@ class CellFreeEnv:
             self.stats_grid(), allocations, p.noise_power, mask=p.lsf_mode
         )
         rewards = report.per_ue.copy()
-        if mode != "static":
+        if p.scenario != "static":
             team = float(rewards.sum())
             ue = self.world.ue_positions.copy()
             for k, a in enumerate(actions):
                 if not a.mobile:
-                    raise ValueError(f"scenario {mode!r} requires mobile actions")
+                    raise ValueError(f"scenario {p.scenario!r} requires mobile actions")
                 step_len = min(max(a.step, 0.0), p.d_max)
-                if mode == "pm-dynamic":
+                if p.scenario == "pm-dynamic":
                     step_len = predictive_limit(team, step_len, p.mdp)
                 ue[k, 0] += step_len * math.cos(a.angle)
                 ue[k, 1] += step_len * math.sin(a.angle)
             self.world.ue_positions = wrap_coords(ue, p.area)
-        self.world.time += 1
-        self.world.rng_state = self.rng.bit_generator.state
         info = {
             "sum_se": float(rewards.sum()),
             "se_report": report,

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from ..env import EnvParams, MdpTuple
+from ..env import SCENARIOS, EnvParams, MdpTuple
 from ..marl.trainer import TrainerSettings, VARIANTS
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-SCENARIOS = ("static", "dynamic", "pm-dynamic")
 ARCHITECTURES = ("single", "double")
 LSF_MODES = ("beta", "lsf")
 PRIORITY_RULES = ("ranked", "simple")
@@ -115,10 +114,7 @@ class ExperimentConfig:
         return self.pool_size if self.update_after is None else self.update_after
 
     def mdp(self) -> MdpTuple:
-        return MdpTuple(
-            gamma=self.gamma, r_g=self.r_g, r_b=self.r_b,
-            alpha=self.alpha, beta_acc=self.beta_acc,
-        )
+        return MdpTuple(r_g=self.r_g, r_b=self.r_b, alpha=self.alpha, beta_acc=self.beta_acc)
 
     def env_params(self) -> EnvParams:
         return EnvParams(

@@ -98,10 +98,9 @@ def detect_convergence(series, n_conv: int, delta_conv: float):
     return None
 
 
-def build_trainer(cfg: ExperimentConfig, env: CellFreeEnv | None = None):
+def build_trainer(cfg: ExperimentConfig):
     """Environment plus the trainer matching the configured architecture."""
-    if env is None:
-        env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
+    env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
     settings = cfg.trainer_settings()
     if cfg.architecture == "double":
         trainer = DoubleLayerTrainer(

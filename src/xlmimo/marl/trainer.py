@@ -472,7 +472,7 @@ class Trainer:
         ]
 
     # -- per-step hooks (overridden by the double-layer trainer) --------------
-    def _choose(self, obs, noise_std):
+    def _choose(self, obs, noise_std, env):
         raw = self.core.act(obs, noise_std)
         return raw, self.env_actions(raw), None, {}
 
@@ -498,9 +498,8 @@ class Trainer:
         }
         for _ in range(self.cfg.steps):
             noise = self.noise_std()
-            raw, acts, allocations, extras = self._choose(obs, noise)
-            next_obs, rewards, info = self.env.step(acts, mode=self.scenario,
-                                                    allocations=allocations)
+            raw, acts, allocations, extras = self._choose(obs, noise, self.env)
+            next_obs, rewards, info = self.env.step(acts, allocations=allocations)
             self._store(obs, raw, rewards, next_obs, extras)
             losses = self._update()
             obs = next_obs
@@ -524,15 +523,11 @@ class Trainer:
         rewards_trace = []
         sum_trace = []
         for _ in range(self.cfg.steps):
-            raw = self.core.greedy(obs)
-            raw, acts, allocations, _ = self._greedy_choose(obs, raw, env)
-            obs, rewards, info = env.step(acts, mode=self.scenario, allocations=allocations)
+            _, acts, allocations, _ = self._choose(obs, 0.0, env)
+            obs, rewards, info = env.step(acts, allocations=allocations)
             rewards_trace.append(np.asarray(rewards, dtype=float))
             sum_trace.append(info.get("sum_se", float(np.sum(rewards))))
         return {"rewards": rewards_trace, "sum_se": sum_trace}
-
-    def _greedy_choose(self, obs, raw, env):
-        return raw, self.env_actions(raw), None, {}
 
     # -- checkpoints --------------------------------------------------------------
     def _layers(self) -> dict:

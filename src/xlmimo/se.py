@@ -32,8 +32,8 @@ __all__ = [
 
 RIDGE = 1e-12
 
-# draws per batched Gram in the Monte-Carlo accumulation; bounds the working
-# set beside a chunk's channel draws
+# draws per slice of the Monte-Carlo estimate: one slice of every link's
+# channels is the working set, whatever the draw count
 MC_SLICE = 128
 
 
@@ -226,34 +226,30 @@ def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = 
     return out
 
 
-def _mc_chunk_sums(stats_grid, powers_sq, n: int, rng, mask):
-    """Per-chunk accumulators: sums over draws of C_kk and C_kl Pbar_l C_kl^H.
+def _mc_slice_sums(stats_grid, powers_sq, size: int, rng, mask):
+    """One slice's sums over its draws of C_kk and C_kl Pbar_l C_kl^H.
 
+    Draws ``size`` realizations of every link with ``draw_channel_grid``.
     C_kl = sum_m G_mk^H G_ml for one draw; ``powers_sq[l]`` holds user l's
-    per-antenna powers, the diagonal of Pbar_l.  The chunk's draws are
-    walked in slices of ``MC_SLICE``.  In each slice, station m's links
-    stack to X_m of shape (s, N_r, K*N_s), and sum_m X_m^H X_m, one batched
-    Gram per station, holds C_kl as its (k, l) block.  Returns ``a_sum`` of
-    shape (K, N_s, N_s) and ``t_sum`` of shape (K, K, N_s, N_s).
+    per-antenna powers, the diagonal of Pbar_l.  Station m's links stack to
+    X_m of shape (size, N_r, K*N_s), and sum_m X_m^H X_m, one batched Gram
+    per station, holds C_kl as its (k, l) block.  Returns ``a_sum`` of shape
+    (K, N_s, N_s) and ``t_sum`` of shape (K, K, N_s, N_s).
     """
     n_ue = len(stats_grid[0])
-    g = draw_channel_grid(stats_grid, n, rng, mask=mask)
+    g = draw_channel_grid(stats_grid, size, rng, mask=mask)
     n_s = g[0][0].shape[2]
-    a_sum = np.zeros((n_ue, n_s, n_s), dtype=complex)
-    t_sum = np.zeros((n_ue, n_ue, n_s, n_s), dtype=complex)
-    for lo in range(0, n, MC_SLICE):
-        size = min(MC_SLICE, n - lo)
-        c = np.zeros((size, n_ue * n_s, n_ue * n_s), dtype=complex)
-        for row in g:
-            x = np.concatenate([g_mk[lo : lo + size] for g_mk in row], axis=2)
-            c += np.conj(x).swapaxes(1, 2) @ x
-        # blocks[k, l, b, d, q] = C_kl[b, q] of draw d
-        blocks = c.reshape(size, n_ue, n_s, n_ue, n_s).transpose(1, 3, 2, 0, 4)
-        a_sum += np.einsum("kkbdq->kbq", blocks)
-        # one product per (k, l) contracts draws and antennas at once
-        y = np.ascontiguousarray(blocks).reshape(n_ue, n_ue, n_s, size * n_s)
-        weights = np.tile(powers_sq, size)[None, :, None, :]
-        t_sum += (y * weights) @ np.conj(y).swapaxes(2, 3)
+    c = np.zeros((size, n_ue * n_s, n_ue * n_s), dtype=complex)
+    for row in g:
+        x = np.concatenate(row, axis=2)
+        c += np.conj(x).swapaxes(1, 2) @ x
+    # blocks[k, l, b, d, q] = C_kl[b, q] of draw d
+    blocks = c.reshape(size, n_ue, n_s, n_ue, n_s).transpose(1, 3, 2, 0, 4)
+    a_sum = np.einsum("kkbdq->kbq", blocks)
+    # one product per (k, l) contracts draws and antennas at once
+    y = np.ascontiguousarray(blocks).reshape(n_ue, n_ue, n_s, size * n_s)
+    weights = np.tile(powers_sq, size)[None, :, None, :]
+    t_sum = (y * weights) @ np.conj(y).swapaxes(2, 3)
     return a_sum, t_sum
 
 
@@ -262,34 +258,29 @@ def se_monte_carlo(
     powers,
     noise_power,
     n_draws: int = 10_000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     mask: str = "lsf",
-    chunk_size: int = 2048,
 ) -> SeReport:
     """Monte-Carlo spectral efficiency under maximum-ratio combining.
 
-    Draws are processed in fixed-size chunks, each with its own child
-    generator spawned from ``rng``; chunk results are reduced in chunk
-    order, so partitioning chunks across workers cannot change the result.
+    The draws come from ``rng`` in slices of ``MC_SLICE``, the last one
+    partial.  Each slice is drawn and added to the running sums before the
+    next is drawn, so a call holds one slice of every link's channels
+    however many draws it makes.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     n_ue = len(stats_grid[0])
     if len(powers) != n_ue:
         raise ValueError("one PowerAllocation per user required")
     powers_sq = [p.amplitudes**2 for p in powers]
-    sizes = [chunk_size] * (n_draws // chunk_size)
-    if n_draws % chunk_size:
-        sizes.append(n_draws % chunk_size)
-    children = rng.spawn(len(sizes))
-    chunks = [
-        _mc_chunk_sums(stats_grid, powers_sq, size, child, mask)
-        for size, child in zip(sizes, children)
-    ]
-    a_hat = sum(a_sum for a_sum, _ in chunks)
-    t_hat = sum(t_sum for _, t_sum in chunks)
+    a_hat = t_hat = 0.0
+    for lo in range(0, n_draws, MC_SLICE):
+        size = min(MC_SLICE, n_draws - lo)
+        a_sum, t_sum = _mc_slice_sums(stats_grid, powers_sq, size, rng, mask)
+        a_hat += a_sum
+        t_hat += t_sum
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
         a_k = a_hat[k] / n_draws

@@ -43,8 +43,6 @@ class TestMdpTuple:
             MdpTuple(beta_acc=0.9)
         with pytest.raises(ValueError):
             MdpTuple(r_g=0.1, r_b=0.2)
-        with pytest.raises(ValueError):
-            MdpTuple(gamma=1.0)
 
 
 class TestPredictiveLimit:

@@ -14,7 +14,7 @@ from xlmimo.se import (
     MC_SLICE,
     PowerAllocation,
     SeReport,
-    _mc_chunk_sums,
+    _mc_slice_sums,
     draw_channel_grid,
     gaussian_moment_oracle,
     interference_terms,
@@ -101,8 +101,8 @@ def einsum_sample_ssf_batch(stats, n, rng):
     return np.einsum("ra,nab,sb->nrs", stats.u_r, q[None, :, :] * w, np.conj(stats.u_s))
 
 
-def loop_chunk_sums(stats_grid, powers_sq, n, rng, mask):
-    """Reference for ``_mc_chunk_sums``: one einsum per (k, l, m) on einsum draws.
+def loop_slice_sums(stats_grid, powers_sq, n, rng, mask):
+    """Reference for ``_mc_slice_sums``: one einsum per (k, l, m) on einsum draws.
 
     Draws come in ``draw_channel_grid``'s order (stations outer, users inner).
     """
@@ -172,14 +172,16 @@ class TestMonteCarloSe:
     def test_matches_straight_line_reimplementation(self):
         grid = stats_grid(1, 1, n_h_r=2, n_v_r=1, n_h_s=1, n_v_s=1)
         p = [full_power(1)]
-        n = 500
+        n = 500  # not a multiple of MC_SLICE: the last slice is partial
         seed = 11
-        rep = se_monte_carlo(
-            grid, p, NOISE, n_draws=n, rng=np.random.default_rng(seed), chunk_size=1024
-        )
-        # independent straight-line evaluation of the same bound on the same draws
-        child = np.random.default_rng(seed).spawn(1)[0]
-        g = draw_channel_grid(grid, n, child, mask="lsf")[0][0]
+        rep = se_monte_carlo(grid, p, NOISE, n_draws=n, rng=np.random.default_rng(seed))
+        # independent straight-line evaluation of the same bound on the same
+        # draws, taken slice by slice from one generator
+        rng = np.random.default_rng(seed)
+        g = np.concatenate([
+            draw_channel_grid(grid, min(MC_SLICE, n - lo), rng, mask="lsf")[0][0]
+            for lo in range(0, n, MC_SLICE)
+        ])
         pmat = transmit_matrix(p[0])
         pbar = power_gram(p[0])
         a_hat = np.zeros((1, 1), dtype=complex)
@@ -196,28 +198,6 @@ class TestMonteCarloSe:
         m = np.eye(1) + np.conj(e_mat.T) @ np.linalg.solve(psi_reg, e_mat)
         expected = float(np.log2(np.linalg.det(m).real))
         assert rep.per_ue[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_chunk_partition_invariance(self):
-        grid = stats_grid(1, 2, n_h_r=2, n_v_r=1)
-        p = [full_power(2), full_power(2)]
-        seed = 9
-        rep = se_monte_carlo(
-            grid, p, NOISE, n_draws=300, rng=np.random.default_rng(seed), chunk_size=100
-        )
-        # process the same chunk schedule out of order, reduce in chunk order
-        children = np.random.default_rng(seed).spawn(3)
-        powers_sq = [q.amplitudes**2 for q in p]
-        results = {}
-        for idx in [2, 0, 1]:
-            results[idx] = _mc_chunk_sums(grid, powers_sq, 100, children[idx], "lsf")
-        a_hat = sum(results[i][0][0] for i in range(3)) / 300
-        e_mat = a_hat @ transmit_matrix(p[0])
-        psi = sum(results[i][1][0][0] + results[i][1][0][1] for i in range(3)) / 300
-        psi = psi - e_mat @ np.conj(e_mat.T) + NOISE * a_hat
-        ridge = 1e-12 * np.trace(psi).real / 2
-        m = np.eye(2) + np.conj(e_mat.T) @ np.linalg.solve(psi + ridge * np.eye(2), e_mat)
-        sign, logabs = np.linalg.slogdet(m)
-        assert rep.per_ue[0] == pytest.approx(logabs / math.log(2), abs=1e-12)
 
     def test_deterministic(self):
         grid = stats_grid(1, 1)
@@ -242,14 +222,14 @@ class TestMonteCarloReferences:
             rtol=1e-12,
         )
         powers_sq = [p.amplitudes**2 for p in powers]
-        a_sum, t_sum = _mc_chunk_sums(
-            grid, powers_sq, self.DRAWS, np.random.default_rng(seed), mask
-        )
-        a_ref, t_ref = loop_chunk_sums(
-            grid, powers_sq, self.DRAWS, np.random.default_rng(seed), mask
-        )
-        assert_blockwise_close(a_sum, a_ref, rtol=1e-12)
-        assert_blockwise_close(t_sum, t_ref, rtol=1e-12)
+        # both walk the draws slice by slice, each from one generator
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for lo in range(0, self.DRAWS, MC_SLICE):
+            size = min(MC_SLICE, self.DRAWS - lo)
+            a_sum, t_sum = _mc_slice_sums(grid, powers_sq, size, rng, mask)
+            a_ref, t_ref = loop_slice_sums(grid, powers_sq, size, rng_ref, mask)
+            assert_blockwise_close(a_sum, a_ref, rtol=1e-12)
+            assert_blockwise_close(t_sum, t_ref, rtol=1e-12)
 
 
 class TestRandomizedAgreement:
@@ -295,27 +275,30 @@ class TestMonteCarloMemory:
         lsf_mode="lsf", fixed_placement=True, seed=1,
     )
 
-    def test_peak_below_two_chunks_of_draws(self):
-        # 10,000 draws in chunks of 2048, as `xlmimo simulate` runs on TREND; a
-        # chunk's draws are 2.1 MB and the einsum-per-(k, l, m) accumulation
-        # peaked at 4.2 MB, just above twice that
+    def test_peak_flat_in_draw_count(self):
+        # 10,000 draws, as `xlmimo simulate` runs by default, must hold no more
+        # than one slice of draws does
         cfg = make_config(self.TREND_GEOMETRY)
         env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
         env.reset()
         grid = env.stats_grid()
         powers = [full_power(env.n_s, cfg.p_max) for _ in range(cfg.k_ue)]
-        chunk = 2048
-        draw_bytes = sum(chunk * s.n_r * s.n_s * 16 for row in grid for s in row)
-        tracemalloc.start()
-        try:
-            se_monte_carlo(
-                grid, powers, cfg.noise_power, n_draws=10_000, rng=stream(cfg.seed, "mc"),
-                chunk_size=chunk,
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * draw_bytes, f"peak {peak / 1e6:.2f} MB"
+
+        def peak(n_draws):
+            tracemalloc.start()
+            try:
+                se_monte_carlo(
+                    grid, powers, cfg.noise_power, n_draws=n_draws, rng=stream(cfg.seed, "mc")
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_slice = peak(MC_SLICE)
+        full = peak(10_000)
+        assert full <= 1.05 * one_slice, (
+            f"peak {full / 1e6:.2f} MB at 10,000 draws, {one_slice / 1e6:.2f} MB at one slice"
+        )
 
 
 class TestClosedFormSe:

@@ -31,7 +31,7 @@ class QuadraticBandit:
     def reward(self, p):
         return 1.0 - ((p - self.p_star) / self.p_max) ** 2
 
-    def step(self, actions, mode=None, allocations=None):
+    def step(self, actions, allocations=None):
         r = self.reward(actions[0].power)
         return np.array([[1.0]]), np.array([r]), {"sum_se": r}
 
