@@ -90,13 +90,13 @@ class WavenumberLattice:
 
 @dataclass
 class ChannelStats:
-    """Second-order statistics of one BS-UE link.
+    """Small-scale statistics shared by every BS-UE link of one system.
 
     ``u_r``/``u_s`` are the receive/transmit wave-vector matrices, ``v_r``/
     ``v_s`` the per-lattice-point standard deviations (already scaled by the
-    square root of the antenna count), ``corr`` the full covariance of the
-    vectorized small-scale fading, ``lsf`` the per-antenna-pair large-scale
-    coefficients and ``beta`` their far-distance scalar approximation.
+    square root of the antenna count) and ``corr`` the full covariance of the
+    vectorized small-scale fading.  They depend only on the two surfaces'
+    shapes; a link's large-scale mask is kept apart from them.
     """
 
     u_r: np.ndarray
@@ -104,8 +104,6 @@ class ChannelStats:
     v_r: np.ndarray
     v_s: np.ndarray
     corr: np.ndarray
-    lsf: np.ndarray | None = None
-    beta: float | None = None
 
     @property
     def n_r(self) -> int:
@@ -287,15 +285,12 @@ def make_channel_stats(
     geom_s: ArrayGeometry,
     wavelength: float,
     raw_kz: bool = False,
-    with_lsf: bool = True,
 ) -> ChannelStats:
-    """Assemble the full second-order statistics for one link.
+    """Assemble the small-scale statistics of a receive/transmit surface pair.
 
     Wave-vector matrices are built in each surface's local frame (positions
     relative to its own center) and both sides take the isotropic variance
-    profile; large-scale fading uses the absolute positions.  ``with_lsf``
-    False leaves ``lsf`` and ``beta`` unset (the environment fills them in
-    per link).
+    profile, so the result does not depend on where the surfaces sit.
     """
     for g, tag in ((geom_r, "receive"), (geom_s, "transmit")):
         if g.spacing >= wavelength / 2.0:
@@ -312,11 +307,4 @@ def make_channel_stats(
     v_r = variance_profile(lat_r, local_r.n_antennas)
     v_s = variance_profile(lat_s, local_s.n_antennas)
     corr = correlation_matrix(u_r, u_s, v_r, v_s)
-    lsf = beta = None
-    if with_lsf:
-        lsf = lsf_matrix(geom_r, geom_s, wavelength)
-        try:
-            beta = fresnel_beta(geom_r, geom_s, wavelength)
-        except ValueError:
-            beta = float(lsf.mean())
-    return ChannelStats(u_r=u_r, u_s=u_s, v_r=v_r, v_s=v_s, corr=corr, lsf=lsf, beta=beta)
+    return ChannelStats(u_r=u_r, u_s=u_s, v_r=v_r, v_s=v_s, corr=corr)

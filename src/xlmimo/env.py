@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ChannelStats,
-    build_surface,
-    fresnel_beta,
-    lsf_matrix,
-    make_channel_stats,
-)
+from .channel import build_surface, fresnel_beta, lsf_matrix, make_channel_stats
 from .se import PowerAllocation, se_closed_form_mr
 
 __all__ = [
@@ -39,6 +33,8 @@ __all__ = [
 ]
 
 SCENARIOS = ("static", "dynamic", "pm-dynamic")
+# a link's large-scale mask: the scalar beta or the per-antenna-pair matrix
+LSF_MODES = ("beta", "lsf")
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ class EnvParams:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.lsf_mode not in ("beta", "lsf"):
-            raise ValueError("lsf_mode must be 'beta' or 'lsf'")
+        if self.lsf_mode not in LSF_MODES:
+            raise ValueError(f"lsf_mode must be one of {LSF_MODES}")
 
 
 def wrap_coords(positions: np.ndarray, area: float) -> np.ndarray:
@@ -177,9 +173,9 @@ class CellFreeEnv:
         self._bs_local = build_surface(p.n_h_r, p.n_v_r, p.spacing_r * wl)
         self._ue_local = build_surface(p.n_h_s, p.n_v_s, p.spacing_s * wl)
         # small-scale statistics depend only on the local surface geometry,
-        # so one base object is shared by every link
-        self._base_stats = make_channel_stats(
-            self._bs_local, self._ue_local, wl, raw_kz=p.raw_kz, with_lsf=False
+        # so every link shares them; links differ only in stats_grid()'s mask
+        self.channel_stats = make_channel_stats(
+            self._bs_local, self._ue_local, wl, raw_kz=p.raw_kz
         )
         # observation scale: aggregate fading at a quarter-area reference range
         d_ref = p.area / 4.0
@@ -268,11 +264,16 @@ class CellFreeEnv:
         return self._bs_local, self._ue_local.translated(rel)
 
     def _pair_beta(self, m: int, k: int) -> float:
+        """Scalar beta of a link; the mean lsf coefficient when too close for it."""
         geom_r, geom_s = self._pair_geometries(m, k)
         try:
             return fresnel_beta(geom_r, geom_s, self.params.wavelength)
         except ValueError:
             return float(lsf_matrix(geom_r, geom_s, self.params.wavelength).mean())
+
+    def _pair_lsf(self, m: int, k: int) -> np.ndarray:
+        """Per-antenna-pair large-scale coefficients of a link, (N_r, N_s)."""
+        return lsf_matrix(*self._pair_geometries(m, k), self.params.wavelength)
 
     def observe_layer1(self) -> np.ndarray:
         """Raw per-user aggregate fading: sum over stations of beta."""
@@ -291,8 +292,7 @@ class CellFreeEnv:
         out = np.zeros((p.k_ue, self.n_s))
         for k in range(p.k_ue):
             for m in range(p.m_bs):
-                geom_r, geom_s = self._pair_geometries(m, k)
-                out[k] += lsf_matrix(geom_r, geom_s, p.wavelength).sum(axis=0)
+                out[k] += self._pair_lsf(m, k).sum(axis=0)
         return out
 
     def agent_observation(self) -> np.ndarray:
@@ -304,32 +304,17 @@ class CellFreeEnv:
         return self.params.m_bs * self.n_r * self._beta_ref
 
     # -- dynamics -------------------------------------------------------------
-    def stats_grid(self) -> list:
-        """Channel statistics for every link at the current positions."""
+    def stats_grid(self) -> np.ndarray:
+        """Large-scale mask of every link at the current positions.
+
+        Entry [m, k] belongs to the link from user k to station m: under
+        ``lsf_mode`` "beta" an (M, K) array of scalar betas, under "lsf" an
+        (M, K, N_r, N_s) array of per-antenna-pair coefficients.  Every link
+        shares the small-scale statistics ``channel_stats``.
+        """
         p = self.params
-        need_lsf = p.lsf_mode == "lsf"
-        grid = []
-        for m in range(p.m_bs):
-            row = []
-            for k in range(p.k_ue):
-                base = self._base_stats
-                lsf = None
-                if need_lsf:
-                    geom_r, geom_s = self._pair_geometries(m, k)
-                    lsf = lsf_matrix(geom_r, geom_s, p.wavelength)
-                row.append(
-                    ChannelStats(
-                        u_r=base.u_r,
-                        u_s=base.u_s,
-                        v_r=base.v_r,
-                        v_s=base.v_s,
-                        corr=base.corr,
-                        lsf=lsf,
-                        beta=self._pair_beta(m, k),
-                    )
-                )
-            grid.append(row)
-        return grid
+        pair_mask = dict(zip(LSF_MODES, (self._pair_beta, self._pair_lsf)))[p.lsf_mode]
+        return np.array([[pair_mask(m, k) for k in range(p.k_ue)] for m in range(p.m_bs)])
 
     def allocations_from_actions(self, actions) -> list:
         """Uniform per-antenna split of each user's power budget."""
@@ -360,7 +345,7 @@ class CellFreeEnv:
             if alloc.trace > alloc.budget + 1e-12 or alloc.budget > p.p_max + 1e-12:
                 raise ValueError("allocation violates the power constraint")
         report = se_closed_form_mr(
-            self.stats_grid(), allocations, p.noise_power, mask=p.lsf_mode
+            self.channel_stats, self.stats_grid(), allocations, p.noise_power
         )
         rewards = report.per_ue.copy()
         if p.scenario != "static":

@@ -83,15 +83,15 @@ def cmd_simulate(args) -> int:
             PowerAllocation(np.full(env.n_s, math.sqrt(cfg.p_max / env.n_s)), cfg.p_max)
             for _ in range(cfg.k_ue)
         ]
-    grid = env.stats_grid()
-    closed = se_closed_form_mr(grid, allocations, cfg.noise_power, mask=cfg.lsf_mode)
+    mask = env.stats_grid()
+    closed = se_closed_form_mr(env.channel_stats, mask, allocations, cfg.noise_power)
     mc = se_monte_carlo(
-        grid,
+        env.channel_stats,
+        mask,
         allocations,
         cfg.noise_power,
         n_draws=args.draws,
         rng=stream(cfg.seed, "mc"),
-        mask=cfg.lsf_mode,
     )
     result = {
         "power_rule": args.power_rule,

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from ..env import SCENARIOS, EnvParams, MdpTuple
+from ..env import LSF_MODES, SCENARIOS, EnvParams, MdpTuple
 from ..marl.trainer import TrainerSettings, VARIANTS
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 
 ARCHITECTURES = ("single", "double")
-LSF_MODES = ("beta", "lsf")
 PRIORITY_RULES = ("ranked", "simple")
 SOFT_DIRECTIONS = ("standard", "reversed")
 

@@ -7,6 +7,12 @@ flavours that must agree: a Monte-Carlo estimate of the achievable-rate
 bound over channel draws, and a closed form for maximum-ratio combining
 whose second and fourth Gaussian moments are evaluated analytically from
 the channel covariance.
+
+The channel of the link from user k to station m is G_mk = B_mk * H_mk:
+every H_mk has the one set of small-scale statistics ``stats`` and only the
+large-scale mask differs.  ``mask`` holds it for every link, either as an
+(M, K) array of scalar betas or as an (M, K, N_r, N_s) array of
+per-antenna-pair coefficients; ``mask[m, k]`` is B_mk.
 """
 
 from __future__ import annotations
@@ -85,22 +91,17 @@ class SeReport:
 # ---------------------------------------------------------------------------
 
 
-def masked_covariance(stats: ChannelStats, mask: str = "lsf") -> np.ndarray:
-    """Covariance of the vectorized full channel (large-scale applied).
+def masked_covariance(corr: np.ndarray, b) -> np.ndarray:
+    """Covariance of the vectorized full channel B * H of one link.
 
-    ``lsf`` applies the per-antenna-pair coefficients, ``beta`` the scalar
-    far-distance approximation.
+    ``b`` is the link's mask: a scalar beta or the (N_r, N_s) matrix of
+    per-antenna-pair coefficients.  A scalar is squared on its own with
+    ``**`` (C ``pow``), which can differ from ``b * b`` in the last bit.
     """
-    if mask == "beta":
-        if stats.beta is None:
-            raise ValueError("stats carry no scalar beta")
-        return (stats.beta**2) * stats.corr
-    if mask == "lsf":
-        if stats.lsf is None:
-            raise ValueError("stats carry no per-antenna lsf matrix")
-        vec_b = stats.lsf.reshape(-1, order="F")
-        return stats.corr * np.outer(vec_b, vec_b)
-    raise ValueError(f"unknown mask mode {mask!r}")
+    if np.ndim(b) == 0:
+        return (b**2) * corr
+    vec_b = b.reshape(-1, order="F")
+    return corr * np.outer(vec_b, vec_b)
 
 
 def _as_r4(cov: np.ndarray, n_r: int, n_s: int) -> np.ndarray:
@@ -164,21 +165,20 @@ def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> 
     return max(float(logabs / math.log(2.0)), 0.0)
 
 
-def se_closed_form_mr(stats_grid, powers, noise_power, mask: str = "lsf") -> SeReport:
+def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, powers, noise_power) -> SeReport:
     """Closed-form spectral efficiency under maximum-ratio combining.
 
-    ``stats_grid[m][k]`` holds the statistics of the link from user k to
+    ``mask[m, k]`` is the large-scale mask of the link from user k to
     station m.  All Gaussian moments are evaluated analytically from the
     masked channel covariance; channels of distinct stations or users are
     independent.
     """
-    n_bs = len(stats_grid)
-    n_ue = len(stats_grid[0])
+    n_bs, n_ue = mask.shape[:2]
     if len(powers) != n_ue:
         raise ValueError("one PowerAllocation per user required")
-    n_r = stats_grid[0][0].n_r
-    n_s = stats_grid[0][0].n_s
-    cov_grid = [[masked_covariance(stats, mask) for stats in row] for row in stats_grid]
+    n_r, n_s = stats.n_r, stats.n_s
+    # one scalar beta at a time: see masked_covariance
+    cov_grid = [[masked_covariance(stats.corr, b) for b in row] for row in mask]
     r4_grid = [[_as_r4(cov, n_r, n_s) for cov in row] for row in cov_grid]
     z_grid = [[second_moment(cov, n_r, n_s) for cov in row] for row in cov_grid]
     # P P^H as dense diagonals, weighted through each station's channel once
@@ -202,31 +202,18 @@ def se_closed_form_mr(stats_grid, powers, noise_power, mask: str = "lsf") -> SeR
     return SeReport(per_ue=per_ue)
 
 
-def draw_channel_grid(stats_grid, n: int, rng: np.random.Generator, mask: str = "lsf"):
-    """Draw ``n`` realizations of every link's full channel.
+def draw_channel_grid(stats: ChannelStats, mask: np.ndarray, n: int, rng: np.random.Generator):
+    """Draw ``n`` realizations of every link's full channel B * H.
 
     Returns nested lists ``g[m][k]`` of shape (n, N_r, N_s).  Draw order is
     fixed: stations outer, users inner, one ``sample_ssf_batch`` call per
     link, so a generator state gives the same draws however they are later
     accumulated.
     """
-    out = []
-    for row in stats_grid:
-        out_row = []
-        for stats in row:
-            h = sample_ssf_batch(stats, n, rng)
-            if mask == "lsf":
-                g = stats.lsf[None, :, :] * h
-            elif mask == "beta":
-                g = stats.beta * h
-            else:
-                raise ValueError(f"unknown mask mode {mask!r}")
-            out_row.append(g)
-        out.append(out_row)
-    return out
+    return [[b * sample_ssf_batch(stats, n, rng) for b in row] for row in mask]
 
 
-def _mc_slice_sums(stats_grid, powers_sq, size: int, rng, mask):
+def _mc_slice_sums(stats: ChannelStats, mask, powers_sq, size: int, rng):
     """One slice's sums over its draws of C_kk and C_kl Pbar_l C_kl^H.
 
     Draws ``size`` realizations of every link with ``draw_channel_grid``.
@@ -236,8 +223,8 @@ def _mc_slice_sums(stats_grid, powers_sq, size: int, rng, mask):
     per station, holds C_kl as its (k, l) block.  Returns ``a_sum`` of shape
     (K, N_s, N_s) and ``t_sum`` of shape (K, K, N_s, N_s).
     """
-    n_ue = len(stats_grid[0])
-    g = draw_channel_grid(stats_grid, size, rng, mask=mask)
+    n_ue = mask.shape[1]
+    g = draw_channel_grid(stats, mask, size, rng)
     n_s = g[0][0].shape[2]
     c = np.zeros((size, n_ue * n_s, n_ue * n_s), dtype=complex)
     for row in g:
@@ -254,13 +241,13 @@ def _mc_slice_sums(stats_grid, powers_sq, size: int, rng, mask):
 
 
 def se_monte_carlo(
-    stats_grid,
+    stats: ChannelStats,
+    mask: np.ndarray,
     powers,
     noise_power,
-    n_draws: int = 10_000,
     *,
+    n_draws: int,
     rng: np.random.Generator,
-    mask: str = "lsf",
 ) -> SeReport:
     """Monte-Carlo spectral efficiency under maximum-ratio combining.
 
@@ -271,14 +258,14 @@ def se_monte_carlo(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    n_ue = len(stats_grid[0])
+    n_ue = mask.shape[1]
     if len(powers) != n_ue:
         raise ValueError("one PowerAllocation per user required")
     powers_sq = [p.amplitudes**2 for p in powers]
     a_hat = t_hat = 0.0
     for lo in range(0, n_draws, MC_SLICE):
         size = min(MC_SLICE, n_draws - lo)
-        a_sum, t_sum = _mc_slice_sums(stats_grid, powers_sq, size, rng, mask)
+        a_sum, t_sum = _mc_slice_sums(stats, mask, powers_sq, size, rng)
         a_hat += a_sum
         t_hat += t_sum
     per_ue = np.zeros(n_ue)

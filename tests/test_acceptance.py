@@ -62,10 +62,10 @@ class TestC01ClosedFormVsMonteCarlo:
             assert env.n_r == 4 and env.n_s == 2
             assert cfg.spacing_r == pytest.approx(1 / 3)
             grid = env.stats_grid()
-            closed = se_closed_form_mr(grid, powers, cfg.noise_power, mask=mask)
+            closed = se_closed_form_mr(env.channel_stats, grid, powers, cfg.noise_power)
             mc = se_monte_carlo(
-                grid, powers, cfg.noise_power, n_draws=10_000,
-                rng=stream(42, "mc", mask, 1), mask=mask,
+                env.channel_stats, grid, powers, cfg.noise_power, n_draws=10_000,
+                rng=stream(42, "mc", mask, 1),
             )
             rel = float(np.max(np.abs(closed.per_ue - mc.per_ue) / mc.per_ue))
             worst = max(worst, rel)
@@ -78,8 +78,8 @@ class TestC01ClosedFormVsMonteCarlo:
 
 class TestC02CorrelationFidelity:
     def test_sample_covariance_matches(self):
-        _, _, grid = desk_grid(seed=7)
-        stats = grid[0][0]
+        _, env, _ = desk_grid(seed=7)
+        stats = env.channel_stats
         dim = stats.n_r * stats.n_s
         assert dim <= 32
         n = 100_000

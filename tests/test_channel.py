@@ -18,6 +18,7 @@ from xlmimo.channel import (
     wave_vector_matrix,
     wavenumber_lattice,
 )
+from xlmimo.env import CellFreeEnv, EnvParams
 from xlmimo.se import draw_channel_grid
 
 WL = 0.01  # 30 GHz carrier
@@ -261,33 +262,38 @@ class TestFresnelBeta:
 
 
 class TestChannelMatrix:
-    """The full channel G = lsf * H, as ``draw_channel_grid`` composes it."""
+    """The full channel G = B * H, as ``draw_channel_grid`` composes it."""
 
     def test_identity_mask(self):
         stats = _stats(2, 1, 3, 1)
-        stats.lsf = np.ones_like(stats.lsf)
-        g = draw_channel_grid([[stats]], 4, np.random.default_rng(5), mask="lsf")[0][0]
+        ones = np.ones((1, 1, stats.n_r, stats.n_s))
+        g = draw_channel_grid(stats, ones, 4, np.random.default_rng(5))[0][0]
         h = sample_ssf_batch(stats, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(g, h)
 
     def test_zero_ssf(self):
-        stats = _stats(2, 1, 2, 1)
+        rx, tx = _surfaces(2, 1, 2, 1)
+        stats = make_channel_stats(rx, tx, WL)
         stats.v_s = np.zeros_like(stats.v_s)
-        g = draw_channel_grid([[stats]], 3, np.random.default_rng(0), mask="lsf")[0][0]
+        lsf = lsf_matrix(rx, tx, WL)[None, None]
+        g = draw_channel_grid(stats, lsf, 3, np.random.default_rng(0))[0][0]
         np.testing.assert_array_equal(g, np.zeros((3, 2, 2)))
 
     def test_scalar_beta_mode(self):
         stats = _stats(2, 2, 2, 1)
-        stats.beta = 0.5
-        g = draw_channel_grid([[stats]], 3, np.random.default_rng(1), mask="beta")[0][0]
+        g = draw_channel_grid(stats, np.array([[0.5]]), 3, np.random.default_rng(1))[0][0]
         h = sample_ssf_batch(stats, 3, np.random.default_rng(1))
         np.testing.assert_array_equal(g, 0.5 * h)
 
 
-def _stats(n_h_r, n_v_r, n_h_s, n_v_s, spacing_factor=3.0, separation=30.0):
+def _surfaces(n_h_r, n_v_r, n_h_s, n_v_s, spacing_factor=3.0, separation=30.0):
     rx = build_surface(n_h_r, n_v_r, WL / spacing_factor, (0.0, 0.0, separation))
     tx = build_surface(n_h_s, n_v_s, WL / spacing_factor)
-    return make_channel_stats(rx, tx, WL)
+    return rx, tx
+
+
+def _stats(*shape, **kwargs):
+    return make_channel_stats(*_surfaces(*shape, **kwargs), WL)
 
 
 class TestMakeChannelStats:
@@ -303,10 +309,19 @@ class TestMakeChannelStats:
             make_channel_stats(rx, tx, WL)
 
     def test_beta_falls_back_to_lsf_mean_when_close(self):
-        rx = build_surface(2, 2, WL / 3, (0.0, 0.0, 0.004))
-        tx = build_surface(2, 2, WL / 3)
-        stats = make_channel_stats(rx, tx, WL)
-        np.testing.assert_allclose(stats.beta, stats.lsf.mean())
+        # a station 4 mm above its user: the 2 x 2 surfaces' apertures
+        # exceed the center distance, so beta is the mean lsf coefficient
+        env = CellFreeEnv(
+            EnvParams(m_bs=1, k_ue=1, n_h_s=2, n_v_s=2, wavelength=WL, bs_height=0.004,
+                      ue_height=0.0),
+            np.random.default_rng(0),
+        )
+        env.set_world([[500.0, 500.0, 0.004]], [[500.0, 500.0, 0.0]])
+        geom_r, geom_s = env._pair_geometries(0, 0)
+        with pytest.raises(ValueError, match="aperture"):
+            fresnel_beta(geom_r, geom_s, WL)
+        beta = env.stats_grid()[0, 0]
+        assert beta == lsf_matrix(geom_r, geom_s, WL).mean()
 
 
 class TestLatticeGuards:

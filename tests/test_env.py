@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlmimo.channel import lsf_matrix
 from xlmimo.env import (
     AgentAction,
     CellFreeEnv,
@@ -175,6 +176,37 @@ class TestObservations:
         assert np.all(b > 0)
 
 
+class TestStatsGrid:
+    @pytest.mark.parametrize("mode", ["beta", "lsf"])
+    def test_masks_of_every_link(self, mode):
+        env = make_env(seed=4, m_bs=3, k_ue=2, lsf_mode=mode)
+        env.reset()
+        mask = env.stats_grid()
+        link_shape = () if mode == "beta" else (env.n_r, env.n_s)
+        assert mask.shape == (3, 2, *link_shape)
+        for m in range(3):
+            for k in range(2):
+                if mode == "beta":
+                    expected = np.float64(env._pair_beta(m, k))
+                else:
+                    geom_r, geom_s = env._pair_geometries(m, k)
+                    expected = lsf_matrix(geom_r, geom_s, env.params.wavelength)
+                assert mask[m, k].tobytes() == expected.tobytes()
+
+    def test_constant_lsf_mask_matches_scalar_beta(self):
+        env = make_env(m_bs=2, k_ue=2)
+        env.set_world(
+            [[300.0, 500.0, 10.0], [700.0, 500.0, 10.0]],
+            [[330.0, 520.0, 1.5], [670.0, 480.0, 1.5]],
+        )
+        beta = env.stats_grid()
+        lsf = beta[:, :, None, None] * np.ones((env.n_r, env.n_s))
+        allocs = env.allocations_from_actions(static_actions(env, power=0.15))
+        scalar = se_closed_form_mr(env.channel_stats, beta, allocs, env.params.noise_power)
+        matrix = se_closed_form_mr(env.channel_stats, lsf, allocs, env.params.noise_power)
+        np.testing.assert_allclose(matrix.per_ue, scalar.per_ue, rtol=1e-12, atol=0)
+
+
 class TestStep:
     def test_moves_along_x(self):
         env = make_env(scenario="dynamic", m_bs=1, k_ue=1)
@@ -200,7 +232,7 @@ class TestStep:
         actions = static_actions(env, power=0.12)
         allocs = env.allocations_from_actions(actions)
         expected = se_closed_form_mr(
-            env.stats_grid(), allocs, env.params.noise_power, mask="beta"
+            env.channel_stats, env.stats_grid(), allocs, env.params.noise_power
         )
         _, rewards, info = env.step(actions)
         assert info["sum_se"] == pytest.approx(expected.sum_se, abs=1e-12)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlmimo.channel import build_surface, make_channel_stats, sample_ssf_batch
+from xlmimo.channel import (
+    build_surface,
+    fresnel_beta,
+    lsf_matrix,
+    make_channel_stats,
+    sample_ssf_batch,
+)
 from xlmimo.env import CellFreeEnv
 from xlmimo.harness.config import make_config
 from xlmimo.seeding import stream
@@ -28,17 +34,33 @@ WL = 0.01
 NOISE = 10 ** ((-69.0 - 30.0) / 10.0)  # -69 dBm in watts
 
 
+def link_masks(stations, users):
+    """Both large-scale masks of every link from ``users`` to ``stations``.
+
+    Returns {"beta": (M, K) betas, "lsf": (M, K, N_r, N_s) lsf matrices}.
+    """
+    return {
+        "beta": np.array([[fresnel_beta(rx, tx, WL) for tx in users] for rx in stations]),
+        "lsf": np.array([[lsf_matrix(rx, tx, WL) for tx in users] for rx in stations]),
+    }
+
+
 def stats_grid(m_bs=2, k_ue=2, n_h_r=2, n_v_r=2, n_h_s=2, n_v_s=1, spacing_factor=3.0):
-    """Small multi-station grid with users at staggered positions."""
-    grid = []
-    for m in range(m_bs):
-        row = []
-        rx = build_surface(n_h_r, n_v_r, WL / spacing_factor, (200.0 * m, 0.0, 10.0))
-        for k in range(k_ue):
-            tx = build_surface(n_h_s, n_v_s, WL / spacing_factor, (50.0 + 80.0 * k, 40.0, 1.5))
-            row.append(make_channel_stats(rx, tx, WL))
-        grid.append(row)
-    return grid
+    """Small multi-station system with users at staggered positions.
+
+    Returns the shared statistics and the (M, K, N_r, N_s) lsf mask.
+    """
+    spacing = WL / spacing_factor
+    stations = [
+        build_surface(n_h_r, n_v_r, spacing, (200.0 * m, 0.0, 10.0)) for m in range(m_bs)
+    ]
+    users = [
+        build_surface(n_h_s, n_v_s, spacing, (50.0 + 80.0 * k, 40.0, 1.5)) for k in range(k_ue)
+    ]
+    stats = make_channel_stats(
+        build_surface(n_h_r, n_v_r, spacing), build_surface(n_h_s, n_v_s, spacing), WL
+    )
+    return stats, link_masks(stations, users)["lsf"]
 
 
 def full_power(n_s, budget=0.2):
@@ -58,12 +80,13 @@ def power_gram(p: PowerAllocation) -> np.ndarray:
 
 @st.composite
 def small_systems(draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1):
-    """Random small cell-free system: (stats_grid, powers) with M, K >= 2.
+    """Random small cell-free system: (stats, masks, powers) with M, K >= 2.
 
     Stations are n_h x n_v surfaces of up to 3 x 3 antennas at 10 m height,
     users the given surface shapes at 1.5 m, all placed in a 200 m square;
-    each user radiates a random share of the 0.2 W budget, split randomly
-    over its antennas.
+    ``masks`` holds both kinds of large-scale mask (see ``link_masks``).  Each
+    user radiates a random share of the 0.2 W budget, split randomly over its
+    antennas.
     """
     m_bs = draw(st.integers(2, 3))
     k_ue = draw(st.integers(2, 3))
@@ -77,17 +100,20 @@ def small_systems(draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1):
         build_surface(n_h_s, n_v_s, spacing_s, (draw(coord), draw(coord), 1.5))
         for _ in range(k_ue)
     ]
-    grid = []
-    for _ in range(m_bs):
-        rx = build_surface(n_h_r, n_v_r, spacing_r, (draw(coord), draw(coord), 10.0))
-        grid.append([make_channel_stats(rx, tx, WL) for tx in users])
+    stations = [
+        build_surface(n_h_r, n_v_r, spacing_r, (draw(coord), draw(coord), 10.0))
+        for _ in range(m_bs)
+    ]
+    stats = make_channel_stats(
+        build_surface(n_h_r, n_v_r, spacing_r), build_surface(n_h_s, n_v_s, spacing_s), WL
+    )
     n_s = n_h_s * n_v_s
     powers = []
     for _ in range(k_ue):
         shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n_s, max_size=n_s)))
         load = draw(st.floats(0.2, 1.0))
         powers.append(PowerAllocation(np.sqrt(0.2 * load * shares / shares.sum()), 0.2))
-    return grid, powers
+    return stats, link_masks(stations, users), powers
 
 
 def einsum_sample_ssf_batch(stats, n, rng):
@@ -101,20 +127,19 @@ def einsum_sample_ssf_batch(stats, n, rng):
     return np.einsum("ra,nab,sb->nrs", stats.u_r, q[None, :, :] * w, np.conj(stats.u_s))
 
 
-def loop_slice_sums(stats_grid, powers_sq, n, rng, mask):
+def loop_slice_sums(stats, mask, powers_sq, n, rng):
     """Reference for ``_mc_slice_sums``: one einsum per (k, l, m) on einsum draws.
 
     Draws come in ``draw_channel_grid``'s order (stations outer, users inner).
     """
     g = [
         [
-            (stats.lsf[None, :, :] if mask == "lsf" else stats.beta)
-            * einsum_sample_ssf_batch(stats, n, rng)
-            for stats in row
+            mask[m, k] * einsum_sample_ssf_batch(stats, n, rng)
+            for k in range(mask.shape[1])
         ]
-        for row in stats_grid
+        for m in range(mask.shape[0])
     ]
-    n_ue = len(stats_grid[0])
+    n_ue = mask.shape[1]
     n_s = g[0][0].shape[2]
     a_sum = np.zeros((n_ue, n_s, n_s), dtype=complex)
     t_sum = np.zeros((n_ue, n_ue, n_s, n_s), dtype=complex)
@@ -155,31 +180,31 @@ class TestPowerAllocation:
 
 class TestMonteCarloSe:
     def test_zero_power_zero_se(self):
-        grid = stats_grid(1, 1)
+        stats, lsf = stats_grid(1, 1)
         p = [PowerAllocation(np.zeros(2), budget=0.2)]
-        rep = se_monte_carlo(grid, p, NOISE, n_draws=50, rng=np.random.default_rng(0))
+        rep = se_monte_carlo(stats, lsf, p, NOISE, n_draws=50, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(rep.per_ue, [0.0])
         assert rep.sum_se == 0.0
 
     def test_symmetric_users_agree(self):
         # both users share identical statistics; SE gap is only MC noise
-        base = stats_grid(2, 1)
-        grid = [[row[0], row[0]] for row in base]
+        stats, lsf = stats_grid(2, 1)
+        lsf = np.concatenate([lsf, lsf], axis=1)
         p = [full_power(2), full_power(2)]
-        rep = se_monte_carlo(grid, p, NOISE, n_draws=4000, rng=np.random.default_rng(5))
+        rep = se_monte_carlo(stats, lsf, p, NOISE, n_draws=4000, rng=np.random.default_rng(5))
         assert abs(rep.per_ue[0] - rep.per_ue[1]) <= 0.05 * rep.per_ue.mean()
 
     def test_matches_straight_line_reimplementation(self):
-        grid = stats_grid(1, 1, n_h_r=2, n_v_r=1, n_h_s=1, n_v_s=1)
+        stats, lsf = stats_grid(1, 1, n_h_r=2, n_v_r=1, n_h_s=1, n_v_s=1)
         p = [full_power(1)]
         n = 500  # not a multiple of MC_SLICE: the last slice is partial
         seed = 11
-        rep = se_monte_carlo(grid, p, NOISE, n_draws=n, rng=np.random.default_rng(seed))
+        rep = se_monte_carlo(stats, lsf, p, NOISE, n_draws=n, rng=np.random.default_rng(seed))
         # independent straight-line evaluation of the same bound on the same
         # draws, taken slice by slice from one generator
         rng = np.random.default_rng(seed)
         g = np.concatenate([
-            draw_channel_grid(grid, min(MC_SLICE, n - lo), rng, mask="lsf")[0][0]
+            draw_channel_grid(stats, lsf, min(MC_SLICE, n - lo), rng)[0][0]
             for lo in range(0, n, MC_SLICE)
         ])
         pmat = transmit_matrix(p[0])
@@ -200,10 +225,10 @@ class TestMonteCarloSe:
         assert rep.per_ue[0] == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic(self):
-        grid = stats_grid(1, 1)
+        stats, lsf = stats_grid(1, 1)
         p = [full_power(2)]
-        r1 = se_monte_carlo(grid, p, NOISE, n_draws=200, rng=np.random.default_rng(7))
-        r2 = se_monte_carlo(grid, p, NOISE, n_draws=200, rng=np.random.default_rng(7))
+        r1 = se_monte_carlo(stats, lsf, p, NOISE, n_draws=200, rng=np.random.default_rng(7))
+        r2 = se_monte_carlo(stats, lsf, p, NOISE, n_draws=200, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(r1.per_ue, r2.per_ue)
 
 
@@ -212,10 +237,10 @@ class TestMonteCarloReferences:
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(small_systems(), st.sampled_from(["lsf", "beta"]), st.integers(0, 2**32 - 1))
-    def test_matches_einsum_sampling_and_loop_accumulation(self, system, mask, seed):
-        grid, powers = system
+    def test_matches_einsum_sampling_and_loop_accumulation(self, system, kind, seed):
+        stats, masks, powers = system
+        mask = masks[kind]
         assert self.DRAWS % MC_SLICE
-        stats = grid[-1][-1]
         assert_blockwise_close(
             sample_ssf_batch(stats, self.DRAWS, np.random.default_rng(seed)),
             einsum_sample_ssf_batch(stats, self.DRAWS, np.random.default_rng(seed)),
@@ -226,8 +251,8 @@ class TestMonteCarloReferences:
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for lo in range(0, self.DRAWS, MC_SLICE):
             size = min(MC_SLICE, self.DRAWS - lo)
-            a_sum, t_sum = _mc_slice_sums(grid, powers_sq, size, rng, mask)
-            a_ref, t_ref = loop_slice_sums(grid, powers_sq, size, rng_ref, mask)
+            a_sum, t_sum = _mc_slice_sums(stats, mask, powers_sq, size, rng)
+            a_ref, t_ref = loop_slice_sums(stats, mask, powers_sq, size, rng_ref)
             assert_blockwise_close(a_sum, a_ref, rtol=1e-12)
             assert_blockwise_close(t_sum, t_ref, rtol=1e-12)
 
@@ -249,23 +274,23 @@ class TestRandomizedAgreement:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(small_systems(user_shapes=((3, 1), (1, 3)), min_r=2))
     def test_closed_form_agrees_with_monte_carlo(self, system):
-        grid, powers = system
+        stats, masks, powers = system
         tol = 0.02 * math.sqrt(10_000 / self.DRAWS)
-        n_r, n_s = grid[0][0].n_r, grid[0][0].n_s
-        for mask in ("lsf", "beta"):
+        n_r, n_s = stats.n_r, stats.n_s
+        for kind in ("lsf", "beta"):
+            mask = masks[kind]
             for k in range(len(powers)):
                 z_sum = sum(
-                    second_moment(masked_covariance(row[k], mask), n_r, n_s) for row in grid
+                    second_moment(masked_covariance(stats.corr, b), n_r, n_s) for b in mask[:, k]
                 )
                 eigs = np.linalg.eigvalsh(z_sum)
                 assert eigs.min() > 1e-3 * eigs.max()
-            closed = se_closed_form_mr(grid, powers, NOISE, mask=mask)
+            closed = se_closed_form_mr(stats, mask, powers, NOISE)
             mc = se_monte_carlo(
-                grid, powers, NOISE, n_draws=self.DRAWS, rng=np.random.default_rng(17),
-                mask=mask,
+                stats, mask, powers, NOISE, n_draws=self.DRAWS, rng=np.random.default_rng(17)
             )
             rel = np.abs(closed.per_ue - mc.per_ue) / closed.per_ue
-            assert np.all(rel <= tol), f"mask={mask}: relative errors {rel}"
+            assert np.all(rel <= tol), f"mask={kind}: relative errors {rel}"
 
 
 class TestMonteCarloMemory:
@@ -281,14 +306,15 @@ class TestMonteCarloMemory:
         cfg = make_config(self.TREND_GEOMETRY)
         env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
         env.reset()
-        grid = env.stats_grid()
+        mask = env.stats_grid()
         powers = [full_power(env.n_s, cfg.p_max) for _ in range(cfg.k_ue)]
 
         def peak(n_draws):
             tracemalloc.start()
             try:
                 se_monte_carlo(
-                    grid, powers, cfg.noise_power, n_draws=n_draws, rng=stream(cfg.seed, "mc")
+                    env.channel_stats, mask, powers, cfg.noise_power, n_draws=n_draws,
+                    rng=stream(cfg.seed, "mc"),
                 )
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -301,45 +327,56 @@ class TestMonteCarloMemory:
         )
 
 
+class TestMaskedCovariance:
+    def test_scalar_beta_squared_as_python_float(self):
+        # for this beta, b**2 (C pow) and b * b differ in the last bit with
+        # glibc's pow; beta-mode covariances square one link's scalar at a
+        # time, and squaring the whole (M, K) array at once would give b * b
+        b = 3.8790762013682215e-05
+        stats, _ = stats_grid(1, 1)
+        expected = (float(b) ** 2) * stats.corr
+        assert masked_covariance(stats.corr, np.float64(b)).tobytes() == expected.tobytes()
+
+
 class TestClosedFormSe:
     def test_zero_power_zero_se(self):
-        grid = stats_grid(2, 2)
+        stats, lsf = stats_grid(2, 2)
         p = [PowerAllocation(np.zeros(2), 0.2) for _ in range(2)]
-        rep = se_closed_form_mr(grid, p, NOISE)
+        rep = se_closed_form_mr(stats, lsf, p, NOISE)
         np.testing.assert_array_equal(rep.per_ue, [0.0, 0.0])
 
     def test_agrees_with_monte_carlo(self):
-        grid = stats_grid(2, 2)
+        stats, lsf = stats_grid(2, 2)
         p = [full_power(2), full_power(2)]
-        closed = se_closed_form_mr(grid, p, NOISE)
-        mc = se_monte_carlo(grid, p, NOISE, n_draws=4000, rng=np.random.default_rng(17))
+        closed = se_closed_form_mr(stats, lsf, p, NOISE)
+        mc = se_monte_carlo(stats, lsf, p, NOISE, n_draws=4000, rng=np.random.default_rng(17))
         rel = np.abs(closed.per_ue - mc.per_ue) / mc.per_ue
         assert np.all(rel <= 0.05)
 
     def test_noise_monotonicity(self):
-        grid = stats_grid(2, 2)
+        stats, lsf = stats_grid(2, 2)
         p = [full_power(2), full_power(2)]
-        low = se_closed_form_mr(grid, p, NOISE)
-        high = se_closed_form_mr(grid, p, 10.0 * NOISE)
+        low = se_closed_form_mr(stats, lsf, p, NOISE)
+        high = se_closed_form_mr(stats, lsf, p, 10.0 * NOISE)
         assert np.all(high.per_ue < low.per_ue)
 
     def test_power_scaling_single_user(self):
-        grid = stats_grid(2, 1)
+        stats, lsf = stats_grid(2, 1)
         prev = None
         for c in [1.0, 0.7, 0.4, 0.1]:
             p = [PowerAllocation(c * np.full(2, math.sqrt(0.1)), 0.2)]
-            se = se_closed_form_mr(grid, p, NOISE).sum_se
+            se = se_closed_form_mr(stats, lsf, p, NOISE).sum_se
             if prev is not None:
                 assert se <= prev + 1e-12
             prev = se
 
     def test_matches_loop_based_moment_algebra(self):
         # rebuild each user's interference matrix from the explicit per-pair terms
-        grid = stats_grid(2, 2, n_h_r=2, n_v_r=1, n_h_s=2, n_v_s=1)
+        stats, lsf = stats_grid(2, 2, n_h_r=2, n_v_r=1, n_h_s=2, n_v_s=1)
         p = [full_power(2, 0.2), full_power(2, 0.15)]
         pbar = [power_gram(q) for q in p]
-        n_r, n_s = grid[0][0].n_r, grid[0][0].n_s
-        covs = [[masked_covariance(grid[m][k], "lsf") for k in range(2)] for m in range(2)]
+        n_r, n_s = stats.n_r, stats.n_s
+        covs = [[masked_covariance(stats.corr, lsf[m, k]) for k in range(2)] for m in range(2)]
         z = [[second_moment(covs[m][k], n_r, n_s) for k in range(2)] for m in range(2)]
         r4 = [
             [covs[m][k].reshape(n_r, n_s, n_r, n_s, order="F") for k in range(2)]
@@ -374,10 +411,10 @@ class TestClosedFormSe:
             np.testing.assert_allclose(psi_prod, psi_theorem, rtol=1e-10, atol=1e-22)
 
     def test_deterministic_report(self):
-        grid = stats_grid(1, 2)
+        stats, lsf = stats_grid(1, 2)
         p = [full_power(2), full_power(2)]
-        r1 = se_closed_form_mr(grid, p, NOISE)
-        r2 = se_closed_form_mr(grid, p, NOISE)
+        r1 = se_closed_form_mr(stats, lsf, p, NOISE)
+        r2 = se_closed_form_mr(stats, lsf, p, NOISE)
         np.testing.assert_array_equal(r1.per_ue, r2.per_ue)
         assert isinstance(r1, SeReport)
 
@@ -426,8 +463,3 @@ class TestErrorPaths:
         psi = np.full((2, 2), np.inf, dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
             _logdet_se(e_mat, psi)
-
-    def test_unknown_mask(self):
-        grid = stats_grid(1, 1)
-        with pytest.raises(ValueError, match="mask"):
-            se_closed_form_mr(grid, [full_power(2)], NOISE, mask="sparse")
