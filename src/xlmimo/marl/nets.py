@@ -3,6 +3,8 @@
 Training stays in float64 numpy so gradients can be checked against central
 finite differences exactly.  Actors squash their raw outputs onto bounded
 action ranges with a scaled logistic; critics are unsquashed scalar heads.
+One ``Mlp`` may hold a stack of equally shaped nets; the gradient helpers
+then keep the stack axis and treat each member on its own.
 """
 
 from __future__ import annotations
@@ -35,18 +37,44 @@ def sigmoid(z):
 
 
 class Mlp:
-    """Fully-connected net: affine / leaky-rectifier pairs, linear head."""
+    """Fully-connected net: affine / leaky-rectifier pairs, linear head.
 
-    def __init__(self, sizes, rng: np.random.Generator):
+    Parameters may carry leading stack axes - weights (..., fan_in,
+    fan_out), biases (..., fan_out) - so one object holds a whole group of
+    equally shaped nets; ``forward`` and ``backward`` work on the trailing
+    two axes of their input and broadcast over the leading ones.  Member
+    ``g`` of a stack is ``net[g]``, whose parameters are views into the
+    stack.
+    """
+
+    def __init__(self, sizes, rng):
+        """Glorot-uniform weights and zero biases drawn from ``rng``.
+
+        A list of generators makes a stack: member g draws from ``rng[g]``
+        exactly the parameters ``Mlp(sizes, rng[g])`` would.
+        """
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = [int(s) for s in sizes]
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w = np.empty((len(rngs), fan_in, fan_out))
+            for g, r in enumerate(rngs):
+                w[g] = r.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.weights.append(w[0] if single else w)
+            self.biases.append(np.zeros(fan_out if single else (len(rngs), fan_out)))
+
+    def __getitem__(self, index) -> "Mlp":
+        """Stack members: views for an integer or slice, copies for an index array."""
+        member = Mlp.__new__(Mlp)
+        member.sizes = self.sizes
+        member.weights = [w[index] for w in self.weights]
+        member.biases = [b[index] for b in self.biases]
+        return member
 
     @property
     def in_dim(self) -> int:
@@ -62,65 +90,71 @@ class Mlp:
     def _leaky_grad(self, z):
         return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
-    def forward(self, x) -> np.ndarray:
-        return self._forward_cached(np.asarray(x, dtype=float))[0]
+    def forward(self, x, keep=False):
+        """Outputs for the rows of ``x``; a 1-D ``x`` is one row.
 
-    def _forward_cached(self, x):
-        squeeze = x.ndim == 1
+        With ``keep`` also returns the layer values that ``backward`` reuses.
+        """
+        x = np.asarray(x, dtype=float)
         h = np.atleast_2d(x)
-        if h.shape[1] != self.in_dim:
-            raise ValueError(f"expected input dim {self.in_dim}, got {h.shape[1]}")
+        if h.shape[-1] != self.in_dim:
+            raise ValueError(f"expected input dim {self.in_dim}, got {h.shape[-1]}")
         pre = []
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
+            z = acts[-1] @ w + b[..., None, :]
             pre.append(z)
             acts.append(self._leaky(z) if i < n_layers - 1 else z)
-        out = acts[-1][0] if squeeze else acts[-1]
-        return out, (pre, acts, squeeze)
+        out = acts[-1][0] if x.ndim == 1 else acts[-1]
+        return (out, (pre, acts)) if keep else out
 
-    def backward(self, x, upstream):
+    def backward(self, x, upstream, cache=None, params=True):
         """Parameter gradients and the input gradient for a batch.
 
         ``upstream`` is dL/d(output); gradients are averaged nowhere - they
-        are plain sums over the batch, matching what the loss builder feeds.
+        are plain sums over the rows, matching what the loss builder feeds.
+        ``cache`` is what ``forward(x, keep=True)`` returned, and spares a
+        second forward pass; without ``params`` only the input gradient is
+        formed (the parameter gradients come back as None).
         """
-        _, (pre, acts, _) = self._forward_cached(np.asarray(x, dtype=float))
+        if cache is None:
+            _, cache = self.forward(x, keep=True)
+        pre, acts = cache
         delta = np.atleast_2d(np.asarray(upstream, dtype=float))
         if delta.shape != acts[-1].shape:
             raise ValueError(
                 f"upstream gradient shape {delta.shape} does not match output {acts[-1].shape}"
             )
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for i in reversed(range(len(self.weights))):
-            if i < len(self.weights) - 1:
+        n = len(self.weights)
+        grads_w = [None] * n
+        grads_b = [None] * n
+        for i in reversed(range(n)):
+            if i < n - 1:
                 delta = delta * self._leaky_grad(pre[i])
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
-        return grads_w + grads_b, delta
+            if params:
+                grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
+                grads_b[i] = delta.sum(axis=-2)
+            delta = delta @ self.weights[i].swapaxes(-1, -2)
+        return (grads_w + grads_b if params else None), delta
 
     # parameter order: all weight matrices input-to-output, then all biases
     def parameters(self):
         return self.weights + self.biases
 
     def set_parameters(self, params):
-        n = len(self.weights)
-        if len(params) != 2 * n:
+        """Copy ``params`` into this net's arrays in place (stack views stay live)."""
+        own = self.parameters()
+        if len(params) != len(own):
             raise ValueError("parameter list length mismatch")
-        for i in range(n):
-            if params[i].shape != self.weights[i].shape:
-                raise ValueError("weight shape mismatch")
-            self.weights[i] = np.array(params[i], dtype=float)
-        for i in range(n):
-            if params[n + i].shape != self.biases[i].shape:
-                raise ValueError("bias shape mismatch")
-            self.biases[i] = np.array(params[n + i], dtype=float)
+        for k, (p, q) in enumerate(zip(own, params)):
+            if p.shape != q.shape:
+                raise ValueError(f"{'weight' if k < len(self.weights) else 'bias'} shape mismatch")
+        for p, q in zip(own, params):
+            p[...] = q
 
     def copy_from(self, other: "Mlp"):
-        self.set_parameters([p.copy() for p in other.parameters()])
+        self.set_parameters(other.parameters())
 
 
 class Actor:
@@ -141,35 +175,42 @@ class Actor:
 
     def backward_through_action(self, state, upstream_action):
         """Parameter gradients of sum(upstream * action(state))."""
-        z = self.mlp.forward(state)
-        s = sigmoid(z)
-        upstream_z = np.asarray(upstream_action, dtype=float) * self.ranges * s * (1.0 - s)
-        grads, _ = self.mlp.backward(state, upstream_z)
-        return grads
+        return self.backward_through_normalized(
+            state, np.asarray(upstream_action, dtype=float) * self.ranges)
 
-    def backward_through_normalized(self, state, upstream_norm):
-        """Parameter gradients of sum(upstream * normalized(state))."""
-        z = self.mlp.forward(state)
-        s = sigmoid(z)
+    def backward_through_normalized(self, state, upstream_norm, cache=None):
+        """Parameter gradients of sum(upstream * normalized(state)).
+
+        ``cache`` is what ``mlp.forward(state, keep=True)`` returned.
+        """
+        if cache is None:
+            _, cache = self.mlp.forward(state, keep=True)
+        s = sigmoid(cache[1][-1])
         upstream_z = np.asarray(upstream_norm, dtype=float) * s * (1.0 - s)
-        grads, _ = self.mlp.backward(state, upstream_z)
+        grads, _ = self.mlp.backward(state, upstream_z, cache=cache)
         return grads
 
     def parameters(self):
         return self.mlp.parameters()
 
 
-def global_norm(grads) -> float:
-    return math.sqrt(sum(float(np.sum(g**2)) for g in grads))
+def global_norm(grads, lead: int = 0):
+    """Euclidean norm of a gradient list, one per member of its ``lead`` stack axes."""
+    total = 0
+    for g in grads:
+        total = total + np.sum(g**2, axis=tuple(range(lead, g.ndim)))
+    return np.sqrt(total)
 
 
-def clip_gradients(grads, max_norm: float):
-    """Scale the whole gradient set so its global norm is at most max_norm."""
-    norm = global_norm(grads)
-    if norm > max_norm > 0:
-        scale = max_norm / norm
-        return [g * scale for g in grads], True
-    return list(grads), False
+def clip_gradients(grads, max_norm: float, lead: int = 0):
+    """Scale each member's gradient set so its global norm is at most max_norm."""
+    norm = global_norm(grads, lead)
+    fired = (norm > max_norm) & (max_norm > 0)
+    if not fired.any():
+        return list(grads), fired
+    scale = np.ones_like(norm)
+    np.divide(max_norm, norm, out=scale, where=fired)
+    return [g * scale.reshape(scale.shape + (1,) * (g.ndim - lead)) for g in grads], fired
 
 
 def sgd_step(net, grads, lr: float, maximize: bool = False):

@@ -25,7 +25,10 @@ __all__ = [
 
 
 class Batch(NamedTuple):
-    """Transitions drawn for one critic: joint arrays plus that critic's rewards."""
+    """Transitions drawn for one critic: joint arrays plus that critic's rewards.
+
+    Batches of several critics stack along a leading axis of every field.
+    """
 
     states: np.ndarray  # (n, n_agents, state_dim)
     actions: np.ndarray  # (n, n_agents, action_dim)
@@ -34,30 +37,29 @@ class Batch(NamedTuple):
 
 
 def _rank_ascending(values: np.ndarray) -> np.ndarray:
-    """1-based positions in the ascending stable sort (ties by index)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    ranks[order] = np.arange(1, len(values) + 1)
+    """1-based positions in the ascending stable sort along the last axis (ties by index)."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, np.arange(1.0, values.shape[-1] + 1), axis=-1)
     return ranks
 
 
 def priority_simple(losses) -> np.ndarray:
-    """Loss-proportional priorities; uniform if every loss is zero."""
+    """Loss-proportional priorities along the last axis; uniform where every loss is zero."""
     losses = np.asarray(losses, dtype=float)
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative")
-    total = losses.sum()
-    if total == 0:
-        return np.full(len(losses), 1.0 / len(losses))
-    return losses / total
+    total = losses.sum(axis=-1, keepdims=True)
+    out = np.full(losses.shape, 1.0 / losses.shape[-1])
+    np.divide(losses, total, out=out, where=total != 0)
+    return out
 
 
 def priority_ranked(losses, counts, mu: float, nu: float) -> np.ndarray:
-    """Rank-based priorities demoting often-extracted records.
+    """Rank-based priorities along the last axis, demoting often-extracted records.
 
-    Score = rank(rank(loss)) + reverse-rank(count); priorities are the
-    normalized mu-th powers plus the floor offset nu, so they sum to
-    1 + len * nu.
+    Score = rank(loss) + reverse-rank(count); priorities are the normalized
+    mu-th powers plus the floor offset nu, so each row sums to 1 + len * nu.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -67,10 +69,10 @@ def priority_ranked(losses, counts, mu: float, nu: float) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     if losses.shape != counts.shape:
         raise ValueError("losses and counts must have equal length")
-    loss_rank = _rank_ascending(_rank_ascending(losses))
-    count_rank_rev = len(counts) + 1.0 - _rank_ascending(counts)
+    loss_rank = _rank_ascending(losses)
+    count_rank_rev = losses.shape[-1] + 1.0 - _rank_ascending(counts)
     score = (loss_rank + count_rank_rev) ** mu
-    return score / score.sum() + nu
+    return score / score.sum(axis=-1, keepdims=True) + nu
 
 
 class ReplayBuffer:
@@ -123,11 +125,10 @@ class ReplayBuffer:
         if rule not in ("ranked", "simple"):
             raise ValueError(f"unknown priority rule {rule!r}")
         n = self.size
-        for c, (losses, counts) in enumerate(zip(self.losses[:, :n], self.counts[:, :n])):
-            if rule == "ranked":
-                self.priorities[c, :n] = priority_ranked(losses, counts, mu, nu)
-            else:
-                self.priorities[c, :n] = priority_simple(losses)
+        if rule == "ranked":
+            self.priorities[:, :n] = priority_ranked(self.losses[:, :n], self.counts[:, :n], mu, nu)
+        else:
+            self.priorities[:, :n] = priority_simple(self.losses[:, :n])
 
 
 def fill_extraction_pool(

@@ -3,6 +3,10 @@
 Every agent owns a local actor (and, in the decoupled variants, a local
 critic); one shared critic over the joint state-action drives the
 centralized part of the policy gradient and regresses on the team reward.
+The networks are stacked per control layer: all agents' actors (targets,
+local critics) are one ``Mlp`` whose parameters carry a leading share-group
+axis, so acting, scoring and every update make one matmul per network
+layer for all agents of the layer.
 Replay keeps each joint transition once per layer, with one reward, loss,
 extraction count and priority per critic; every critic's extraction pool
 is refilled every step, priority-proportional in the prioritized variants.
@@ -82,7 +86,14 @@ class TrainerSettings:
 
 
 class MarlCore:
-    """Agents, critics, replay and update rules for one control layer."""
+    """Agents, critics, replay and update rules for one control layer.
+
+    The actors, actor targets, local critics and local-critic targets of
+    all share groups live in one stacked ``Mlp`` each (member g is group g's
+    parameter set), so every network layer is one matmul for all agents.
+    ``actors[i]``, ``local_critics[i]`` and their targets are agent i's
+    member, as views into the stacks; agents of one group share the object.
+    """
 
     def __init__(
         self,
@@ -104,45 +115,35 @@ class MarlCore:
         self.variant = variant
         hid = list(settings.hidden)
         # agents with the same group id share one parameter set
-        groups = list(range(n_agents)) if share_groups is None else list(share_groups)
-        if len(groups) != n_agents:
+        ids = list(range(n_agents)) if share_groups is None else list(share_groups)
+        if len(ids) != n_agents:
             raise ValueError("one share-group id per agent required")
-        self.share_groups = groups
+        order = list(dict.fromkeys(ids))  # group ids in order of first appearance
+        members = [[i for i in range(n_agents) if ids[i] == g] for g in order]
+        if len({len(m) for m in members}) != 1:
+            raise ValueError("every share group needs the same number of agents")
+        self._n_groups = len(order)
+        self._group_of = np.array([order.index(g) for g in ids])
+        # update wave j steps the j-th member of every group, all groups at once
+        self._waves = [np.array(wave) for wave in zip(*members)]
 
-        self.actors = []
-        self.actor_targets = []
+        def stacks(kind, sizes):
+            """Current and target stack of one net per group, equal at the start."""
+            current = Mlp(sizes, [stream(master_seed, "init", kind, layer, g) for g in order])
+            return current, current[np.arange(len(order))]
+
+        self.actor_stack, self.actor_target_stack = stacks(
+            "actor", [state_dim, *hid, self.action_dim])
+        self.actors = self._views(lambda g: Actor(self.actor_stack[g], self.ranges))
+        self.actor_targets = self._views(lambda g: Actor(self.actor_target_stack[g], self.ranges))
+        self.local_critic_stack = self.local_critic_target_stack = None
         self.local_critics = []
         self.local_critic_targets = []
-        built: dict = {}
-        for i in range(n_agents):
-            g = groups[i]
-            if g not in built:
-                actor = Actor(
-                    Mlp([state_dim, *hid, self.action_dim],
-                        stream(master_seed, "init", "actor", layer, g)),
-                    self.ranges,
-                )
-                target = Actor(
-                    Mlp([state_dim, *hid, self.action_dim],
-                        stream(master_seed, "init", "actor", layer, g)),
-                    self.ranges,
-                )
-                target.mlp.copy_from(actor.mlp)
-                entry = {"actor": actor, "actor_target": target}
-                if variant.local_critic:
-                    critic = Mlp([state_dim + self.action_dim, *hid, 1],
-                                 stream(master_seed, "init", "critic_local", layer, g))
-                    critic_t = Mlp([state_dim + self.action_dim, *hid, 1],
-                                   stream(master_seed, "init", "critic_local", layer, g))
-                    critic_t.copy_from(critic)
-                    entry["critic"] = critic
-                    entry["critic_target"] = critic_t
-                built[g] = entry
-            self.actors.append(built[g]["actor"])
-            self.actor_targets.append(built[g]["actor_target"])
-            if variant.local_critic:
-                self.local_critics.append(built[g]["critic"])
-                self.local_critic_targets.append(built[g]["critic_target"])
+        if variant.local_critic:
+            self.local_critic_stack, self.local_critic_target_stack = stacks(
+                "critic_local", [state_dim + self.action_dim, *hid, 1])
+            self.local_critics = self._views(lambda g: self.local_critic_stack[g])
+            self.local_critic_targets = self._views(lambda g: self.local_critic_target_stack[g])
 
         joint_dim = n_agents * (state_dim + self.action_dim)
         self.global_critic = Mlp([joint_dim, *hid, 1],
@@ -163,57 +164,68 @@ class MarlCore:
             stream(master_seed, "update_local", layer, i) for i in range(n_agents)
         ]
 
+    def _views(self, make):
+        """One object per agent, ``make(group)`` built once per share group."""
+        per_group = [make(g) for g in range(self._n_groups)]
+        return [per_group[g] for g in self._group_of]
+
+    def _members(self, stack: Mlp, agents) -> Mlp:
+        """The stack's parameter sets of ``agents``, one member per agent."""
+        groups = self._group_of[agents]
+        if np.array_equal(groups, np.arange(self._n_groups)):
+            return stack
+        return stack[groups]
+
     # -- acting ---------------------------------------------------------------
     def act(self, states: np.ndarray, noise_std: float = 0.0) -> np.ndarray:
         """Raw actions, one row per agent; noise is added in [0, 1] units."""
-        out = np.empty((self.n_agents, self.action_dim))
-        for i in range(self.n_agents):
-            a01 = self.actors[i].normalized(states[i])
-            if noise_std > 0:
-                a01 = np.clip(a01 + noise_std * self._explore[i].standard_normal(self.action_dim), 0.0, 1.0)
-            out[i] = a01 * self.ranges
-        return out
+        agents = np.arange(self.n_agents)
+        states = np.asarray(states, dtype=float)
+        a01 = sigmoid(self._members(self.actor_stack, agents).forward(states[:, None, :]))[:, 0]
+        if noise_std > 0:
+            noise = np.stack([rng.standard_normal(self.action_dim) for rng in self._explore])
+            a01 = np.clip(a01 + noise_std * noise, 0.0, 1.0)
+        return a01 * self.ranges
 
     def greedy(self, states: np.ndarray) -> np.ndarray:
         return self.act(states, noise_std=0.0)
 
     # -- replay ---------------------------------------------------------------
     def _joint_input(self, states, actions):
+        """Joint critic input: flattened states, then actions in [0, 1] units.
+
+        The last two axes of ``states``/``actions`` are (agent, feature);
+        any leading axes are kept.
+        """
         states = np.asarray(states, dtype=float)
         actions = np.asarray(actions, dtype=float)
-        if states.ndim == 2:  # single joint sample
-            return np.concatenate([states.ravel(), (actions / self.ranges).ravel()])
-        flat_s = states.reshape(states.shape[0], -1)
-        flat_a = (actions / self.ranges).reshape(actions.shape[0], -1)
-        return np.concatenate([flat_s, flat_a], axis=1)
+        lead = states.shape[:-2]
+        return np.concatenate([states.reshape(*lead, -1),
+                               (actions / self.ranges).reshape(*lead, -1)], axis=-1)
 
     def _local_input(self, state, action):
         return np.concatenate([state, action / self.ranges], axis=-1)
 
-    def _target_joint_next(self, next_states):
-        acts = np.stack([self.actor_targets[i].act(next_states[i]) for i in range(self.n_agents)])
-        return self._joint_input(next_states, acts), acts
-
     def bellman_losses(self, states, actions, rewards, next_states):
         """Squared target-network errors for a fresh transition."""
+        agents = np.arange(self.n_agents)
+        gamma = self.cfg.gamma
         team = float(np.sum(rewards))
         q_now = float(self.global_critic.forward(self._joint_input(states, actions))[0])
-        joint_next, next_actions = self._target_joint_next(next_states)
-        y = team + self.cfg.gamma * float(self.global_critic_target.forward(joint_next)[0])
+        next_actions = sigmoid(self._members(self.actor_target_stack, agents).forward(
+            next_states[:, None, :]))[:, 0] * self.ranges
+        y = team + gamma * float(
+            self.global_critic_target.forward(self._joint_input(next_states, next_actions))[0])
         loss_g = (q_now - y) ** 2
-        losses_l = []
-        for i in range(self.n_agents):
-            if self.variant.local_critic:
-                q_i = float(self.local_critics[i].forward(self._local_input(states[i], actions[i]))[0])
-                y_i = rewards[i] + self.cfg.gamma * float(
-                    self.local_critic_targets[i].forward(
-                        self._local_input(next_states[i], next_actions[i])
-                    )[0]
-                )
-                losses_l.append((q_i - y_i) ** 2)
-            else:
-                losses_l.append(loss_g)
-        return loss_g, losses_l
+        if not self.variant.local_critic:
+            return loss_g, [loss_g] * self.n_agents
+        q = self._members(self.local_critic_stack, agents).forward(
+            self._local_input(states, actions)[:, None, :])[:, 0, 0]
+        q_next = self._members(self.local_critic_target_stack, agents).forward(
+            self._local_input(next_states, next_actions)[:, None, :])[:, 0, 0]
+        # scalar by scalar: a numpy scalar's ** 2 is C pow, an array's is x * x
+        return loss_g, [(float(q_i) - (r + gamma * float(q_n))) ** 2
+                        for q_i, r, q_n in zip(q, rewards, q_next)]
 
     def record(self, states, actions, rewards, next_states):
         """Score the transition with the target nets and store it once."""
@@ -234,75 +246,95 @@ class MarlCore:
         ]
 
     # -- updates ----------------------------------------------------------------
-    def _sample(self, col: int, size: int) -> Batch:
-        """A batch from critic ``col``'s pool, drawn with its update stream."""
+    def _positions(self, col: int, size: int) -> np.ndarray:
+        """Replay rows drawn from critic ``col``'s pool with its update stream."""
         pool = self.pools[col]
-        pos = pool[self._upd_rngs[col].choice(len(pool), min(size, len(pool)), replace=False)]
-        r = self.replay
-        return Batch(r.states[pos], r.actions[pos], r.rewards[col, pos], r.next_states[pos])
+        return pool[self._upd_rngs[col].choice(len(pool), min(size, len(pool)), replace=False)]
 
-    def _joint_next_batch(self, batch: Batch):
-        """Target-actor joint inputs for every transition's next state."""
-        next_states = batch.next_states  # (n, agents, sd)
-        acts01 = [
-            sigmoid(self.actor_targets[i].mlp.forward(next_states[:, i, :]))
-            for i in range(self.n_agents)
-        ]
-        return np.concatenate([next_states.reshape(len(next_states), -1)] + acts01, axis=1)
+    def _sample(self, cols, size: int) -> Batch:
+        """A batch for critic ``cols``; an array of critics stacks their batches."""
+        cols = np.asarray(cols)
+        pos = np.reshape([self._positions(c, size) for c in cols.flat], (*cols.shape, -1))
+        r = self.replay
+        return Batch(r.states[pos], r.actions[pos], r.rewards[cols[..., None], pos],
+                     r.next_states[pos])
 
     def critic_loss_global(self, batch: Batch):
         """Mean squared Bellman error of the shared critic plus its gradients."""
         n = len(batch.rewards)
         xs = self._joint_input(batch.states, batch.actions)
-        joint_next = self._joint_next_batch(batch)
+        next_states = batch.next_states  # (n, agents, sd)
+        acts01 = sigmoid(self._members(self.actor_target_stack, np.arange(self.n_agents)).forward(
+            next_states.swapaxes(0, 1)))  # (agents, n, ad)
+        joint_next = np.concatenate(
+            [next_states.reshape(n, -1), acts01.swapaxes(0, 1).reshape(n, -1)], axis=1)
         ys = batch.rewards + self.cfg.gamma * self.global_critic_target.forward(joint_next)[:, 0]
-        q = self.global_critic.forward(xs)[:, 0]
-        err = q - ys
+        q, cache = self.global_critic.forward(xs, keep=True)
+        err = q[:, 0] - ys
         loss = float(np.mean(err**2))
         upstream = (2.0 * err / n)[:, None]
-        grads, _ = self.global_critic.backward(xs, upstream)
+        grads, _ = self.global_critic.backward(xs, upstream, cache=cache)
         return loss, grads
 
-    def critic_loss_local(self, batch: Batch, agent: int):
-        n = len(batch.rewards)
-        xs = self._local_input(batch.states[:, agent], batch.actions[:, agent])
-        next_i = batch.next_states[:, agent]
-        a01_next = sigmoid(self.actor_targets[agent].mlp.forward(next_i))
-        q_next = self.local_critic_targets[agent].forward(
-            np.concatenate([next_i, a01_next], axis=1)
-        )[:, 0]
+    @staticmethod
+    def _own(batch: Batch, agents):
+        """Each batch row's own agent's states, actions and next states: (W, n, dim)."""
+        w = np.arange(len(agents))
+        return tuple(a[w, :, agents] for a in (batch.states, batch.actions, batch.next_states))
+
+    def critic_loss_local(self, batch: Batch, agents):
+        """Local critics' mean squared Bellman errors and gradients for ``agents``.
+
+        ``batch`` holds one batch per agent along a leading axis; losses and
+        gradients keep that axis.
+        """
+        agents = np.asarray(agents)
+        n = batch.rewards.shape[-1]
+        states_i, actions_i, next_i = self._own(batch, agents)
+        xs = self._local_input(states_i, actions_i)
+        a01_next = sigmoid(self._members(self.actor_target_stack, agents).forward(next_i))
+        q_next = self._members(self.local_critic_target_stack, agents).forward(
+            np.concatenate([next_i, a01_next], axis=-1))[..., 0]
         ys = batch.rewards + self.cfg.gamma * q_next
-        q = self.local_critics[agent].forward(xs)[:, 0]
-        err = q - ys
-        loss = float(np.mean(err**2))
-        upstream = (2.0 * err / n)[:, None]
-        grads, _ = self.local_critics[agent].backward(xs, upstream)
-        return loss, grads
+        critic = self._members(self.local_critic_stack, agents)
+        q, cache = critic.forward(xs, keep=True)
+        err = q[..., 0] - ys
+        losses = np.mean(err**2, axis=-1)
+        upstream = (2.0 * err / n)[..., None]
+        grads, _ = critic.backward(xs, upstream, cache=cache)
+        return losses, grads
 
-    def actor_gradient(self, batch: Batch, agent: int):
-        """Ascent direction of the critic-value objective for one actor.
+    def actor_gradient(self, batch: Batch, agents):
+        """Ascent direction of the critic-value objective for the actors of ``agents``.
 
         The centralized term differentiates the shared critic at the joint
-        input with this agent's action slot replaced by its current policy;
-        the decoupled variants add the local-critic term.
+        input with the agent's action slot replaced by its current policy;
+        the decoupled variants add the local-critic term.  ``batch`` holds
+        one batch per agent along a leading axis, and so do the gradients.
         """
-        n = len(batch.rewards)
-        i = agent
-        states_i = batch.states[:, i]
-        a01 = sigmoid(self.actors[i].mlp.forward(states_i))
+        agents = np.asarray(agents)
+        w = np.arange(len(agents))
+        n = batch.rewards.shape[-1]
+        states_i = self._own(batch, agents)[0]
+        actor = Actor(self._members(self.actor_stack, agents), self.ranges)
+        z, cache = actor.mlp.forward(states_i, keep=True)
+        a01 = sigmoid(z)
 
-        joint = self._joint_input(batch.states, batch.actions)
-        col = self.n_agents * self.state_dim + i * self.action_dim
-        joint[:, col : col + self.action_dim] = a01
-        _, in_grad = self.global_critic.backward(joint, np.full((n, 1), 1.0 / n))
-        upstream_norm = in_grad[:, col : col + self.action_dim]
-        grads = self.actors[i].backward_through_normalized(states_i, upstream_norm)
+        acts01 = batch.actions / self.ranges
+        acts01[w, :, agents] = a01
+        joint = np.concatenate([batch.states.reshape(*acts01.shape[:2], -1),
+                                acts01.reshape(*acts01.shape[:2], -1)], axis=-1)
+        mean = np.full((len(agents), n, 1), 1.0 / n)
+        _, in_grad = self.global_critic.backward(joint, mean, params=False)
+        upstream = in_grad[..., self.n_agents * self.state_dim:].reshape(acts01.shape)[w, :, agents]
+        grads = actor.backward_through_normalized(states_i, upstream, cache)
 
         if self.variant.local_critic and self.variant.ddpg_weight != 0.0:
-            local_x = np.concatenate([states_i, a01], axis=1)
-            _, in_grad_l = self.local_critics[i].backward(local_x, np.full((n, 1), 1.0 / n))
-            upstream_l = in_grad_l[:, self.state_dim :]
-            grads_l = self.actors[i].backward_through_normalized(states_i, upstream_l)
+            local_x = np.concatenate([states_i, a01], axis=-1)
+            _, in_grad_l = self._members(self.local_critic_stack, agents).backward(
+                local_x, mean, params=False)
+            grads_l = actor.backward_through_normalized(
+                states_i, in_grad_l[..., self.state_dim:], cache)
             grads = [g + self.variant.ddpg_weight * gl for g, gl in zip(grads, grads_l)]
         return grads
 
@@ -310,7 +342,11 @@ class MarlCore:
         return len(self.replay) >= self.cfg.update_after
 
     def update(self):
-        """One round of critic/actor updates with clipped plain SGD."""
+        """One round of critic/actor updates with clipped plain SGD.
+
+        The agents step in waves, one member of every share group per wave,
+        so a shared parameter set still takes its members' steps in turn.
+        """
         if not self.ready():
             return {}
         cfg = self.cfg
@@ -320,24 +356,24 @@ class MarlCore:
         sgd_step(self.global_critic, grads, cfg.lr_critic)
         soft_update(self.global_critic, self.global_critic_target, cfg.tau, cfg.soft_update_direction)
 
-        local_losses = []
-        for i in range(self.n_agents):
-            batch_l = self._sample(1 + i, cfg.batch_local)
-            if self.variant.local_critic:
-                loss_l, grads_l = self.critic_loss_local(batch_l, i)
-                grads_l, _ = clip_gradients(grads_l, cfg.clip_norm)
-                sgd_step(self.local_critics[i], grads_l, cfg.lr_critic)
-                local_losses.append(loss_l)
-            a_grads = self.actor_gradient(batch_l, i)
-            a_grads, _ = clip_gradients(a_grads, cfg.clip_norm)
-            sgd_step(self.actors[i].mlp, a_grads, cfg.lr_actor, maximize=True)
-            if self.variant.local_critic:
-                soft_update(self.local_critics[i], self.local_critic_targets[i], cfg.tau,
+        local = self.variant.local_critic
+        local_losses = np.empty(self.n_agents)
+        for agents in self._waves:
+            batch_l = self._sample(1 + agents, cfg.batch_local)
+            if local:
+                local_losses[agents], grads_l = self.critic_loss_local(batch_l, agents)
+                grads_l, _ = clip_gradients(grads_l, cfg.clip_norm, lead=1)
+                sgd_step(self.local_critic_stack, grads_l, cfg.lr_critic)
+            a_grads = self.actor_gradient(batch_l, agents)
+            a_grads, _ = clip_gradients(a_grads, cfg.clip_norm, lead=1)
+            sgd_step(self.actor_stack, a_grads, cfg.lr_actor, maximize=True)
+            if local:
+                soft_update(self.local_critic_stack, self.local_critic_target_stack, cfg.tau,
                             cfg.soft_update_direction)
-            soft_update(self.actors[i].mlp, self.actor_targets[i].mlp, cfg.tau,
+            soft_update(self.actor_stack, self.actor_target_stack, cfg.tau,
                         cfg.soft_update_direction)
         out = {"critic_loss_global": loss_g}
-        if local_losses:
+        if local:
             out["critic_loss_local_mean"] = float(np.mean(local_losses))
         return out
 

@@ -125,10 +125,10 @@ class TestSameMachineryAcrossLayers:
         assert l1 == l2
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
-        for agent in range(2):
-            for a, b in zip(core1.actor_gradient(batch, agent),
-                            core2.actor_gradient(batch, agent)):
-                np.testing.assert_array_equal(a, b)
+        # one wave of both agents, each on the same batch
+        wave = Batch(*(np.stack([a, a]) for a in batch))
+        for a, b in zip(core1.actor_gradient(wave, [0, 1]), core2.actor_gradient(wave, [0, 1])):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDoubleLayerTrainer:

@@ -132,6 +132,48 @@ class TestActor:
         assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-10)
 
 
+class TestStack:
+    def _stack(self):
+        return Mlp([3, 8, 5, 2], [np.random.default_rng(g) for g in range(4)])
+
+    def test_members_match_single_nets_bitwise(self):
+        nets = [Mlp([3, 8, 5, 2], np.random.default_rng(g)) for g in range(4)]
+        stack = self._stack()
+        for g, net in enumerate(nets):
+            for a, b in zip(stack.parameters(), net.parameters()):
+                np.testing.assert_array_equal(a[g], b)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, 6, 3))
+        up = rng.standard_normal((4, 6, 2))
+        out, cache = stack.forward(x, keep=True)
+        grads, in_grad = stack.backward(x, up, cache=cache)
+        for g, net in enumerate(nets):
+            np.testing.assert_array_equal(out[g], net.forward(x[g]))
+            ref, ref_in = net.backward(x[g], up[g])
+            np.testing.assert_array_equal(in_grad[g], ref_in)
+            for a, b in zip(grads, ref):
+                np.testing.assert_array_equal(a[g], b)
+        # per-member clipping equals clipping each member on its own
+        clipped, fired = clip_gradients(grads, 0.5, lead=1)
+        for g, net in enumerate(nets):
+            ref, ref_fired = clip_gradients([p[g] for p in grads], 0.5)
+            assert fired[g] == ref_fired
+            for a, b in zip(clipped, ref):
+                np.testing.assert_array_equal(a[g], b)
+
+    def test_member_views_write_through(self):
+        stack = self._stack()
+        member = stack[2]
+        member.set_parameters([np.zeros_like(p) for p in member.parameters()])
+        assert all(np.all(p[2] == 0) for p in stack.parameters())
+        assert not np.all(stack.weights[0][1] == 0)
+        sgd_step(stack, [np.ones_like(p) for p in stack.parameters()], lr=0.5)
+        assert all(np.all(p == -0.5) for p in member.parameters())
+        gathered = stack[np.array([2, 2])]
+        gathered.set_parameters([np.ones_like(p) for p in gathered.parameters()])
+        assert all(np.all(p == -0.5) for p in member.parameters())
+
+
 class TestClipAndSgd:
     def test_clip_fires_exactly_at_threshold(self):
         grads = [np.array([3.0, 4.0])]  # norm 5

@@ -112,6 +112,61 @@ class TestReplayBuffer:
         np.testing.assert_allclose(buf.priorities[:, :2].sum(axis=1), 1.0 + 2 * 0.01)
 
 
+def per_critic_rank(values):
+    """The per-row ranking the vectorised rules replaced: 1-based stable ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    ranks[order] = np.arange(1, len(values) + 1)
+    return ranks
+
+
+def per_critic_ranked(losses, counts, mu, nu):
+    loss_rank = per_critic_rank(per_critic_rank(losses))
+    count_rank_rev = len(counts) + 1.0 - per_critic_rank(counts)
+    score = (loss_rank + count_rank_rev) ** mu
+    return score / score.sum() + nu
+
+
+def per_critic_simple(losses):
+    total = losses.sum()
+    if total == 0:
+        return np.full(len(losses), 1.0 / len(losses))
+    return losses / total
+
+
+class TestVectorisedRefresh:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 300, 512])
+    @pytest.mark.parametrize("mu", [1.0, 1.7, 0.5])
+    def test_refresh_matches_per_critic_rules_bitwise(self, n, mu):
+        rng = np.random.default_rng(n)
+        buf = ReplayBuffer(600, 8, state_dim=1, action_dim=1)
+        for _ in range(n):
+            # integer-valued losses and small counts force ties
+            add(buf, 0.0)
+        buf.losses[:, :n] = rng.integers(0, 5, (9, n)) * rng.uniform(0.5, 2.0)
+        buf.losses[3, :n] = 0.0  # one critic with every loss zero
+        buf.counts[:, :n] = rng.integers(0, 4, (9, n))
+        nu = 0.01
+        buf.refresh_priorities("ranked", mu, nu)
+        for c in range(9):
+            expect = per_critic_ranked(buf.losses[c, :n], buf.counts[c, :n], mu, nu)
+            np.testing.assert_array_equal(buf.priorities[c, :n], expect)
+        buf.refresh_priorities("simple")
+        for c in range(9):
+            np.testing.assert_array_equal(buf.priorities[c, :n],
+                                          per_critic_simple(buf.losses[c, :n]))
+
+    def test_rules_take_one_row_per_critic(self):
+        rng = np.random.default_rng(1)
+        losses = rng.uniform(0, 3, (4, 10))
+        counts = rng.integers(0, 3, (4, 10))
+        both = priority_ranked(losses, counts, 1.3, 0.02)
+        simple = priority_simple(losses)
+        for c in range(4):
+            np.testing.assert_array_equal(both[c], priority_ranked(losses[c], counts[c], 1.3, 0.02))
+            np.testing.assert_array_equal(simple[c], priority_simple(losses[c]))
+
+
 class TestFillExtractionPool:
     def test_small_buffer_returns_everything(self):
         buf = store(capacity=10)
