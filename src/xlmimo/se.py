@@ -6,7 +6,9 @@ unit averages the local estimates.  Spectral efficiency comes in two
 flavours that must agree: a Monte-Carlo estimate of the achievable-rate
 bound over channel draws, and a closed form for maximum-ratio combining
 whose second and fourth Gaussian moments are evaluated analytically from
-the channel covariance.
+the channel covariance.  Both walk their work in pieces of fixed size: the
+Monte-Carlo estimate one slice of draws at a time, the closed form one
+station's links at a time.
 
 The channel of the link from user k to station m is G_mk = B_mk * H_mk:
 every H_mk has the one set of small-scale statistics ``stats`` and only the
@@ -31,8 +33,6 @@ __all__ = [
     "se_closed_form_mr",
     "gaussian_moment_oracle",
     "masked_covariance",
-    "second_moment",
-    "interference_terms",
     "draw_channel_grid",
 ]
 
@@ -104,43 +104,6 @@ def masked_covariance(corr: np.ndarray, b) -> np.ndarray:
     return corr * np.outer(vec_b, vec_b)
 
 
-def _as_r4(cov: np.ndarray, n_r: int, n_s: int) -> np.ndarray:
-    return cov.reshape((n_r, n_s, n_r, n_s), order="F")
-
-
-def second_moment(cov: np.ndarray, n_r: int, n_s: int) -> np.ndarray:
-    """E{G^H G} from the covariance of vec(G)."""
-    return np.einsum("apai->ip", _as_r4(cov, n_r, n_s))
-
-
-def _weighted_outer(r4: np.ndarray, pbar: np.ndarray) -> np.ndarray:
-    """E{G P' G^H} for P' = pbar: the receive-side weighting matrix."""
-    return np.einsum("apbq,pq->ab", r4, pbar)
-
-
-def _quadratic_through(r4_own: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """E{G^H W G} for a fixed receive-side weight W."""
-    return np.einsum("bjai,ab->ij", r4_own, weight)
-
-
-def interference_terms(r4_grid, weight_grid, k: int) -> np.ndarray:
-    """Sum over stations and users of the fourth/second-moment interference.
-
-    ``weight_grid[m][l]`` is station m's receive-side weight
-    E{G_ml Pbar_l G_ml^H} of user l, the same for every k, so callers build
-    the grid once per allocation.  Returns
-    sum_m sum_l E{G_mk^H weight_grid[m][l] G_mk}, which includes, for l = k,
-    the extra same-channel Wick pairing; equals sum_l T_kl - E_k E_k^H after
-    the coherent part cancels.
-    """
-    n_s = r4_grid[0][k].shape[1]
-    out = np.zeros((n_s, n_s), dtype=complex)
-    for r4_row, weight_row in zip(r4_grid, weight_grid):
-        for w in weight_row:
-            out += _quadratic_through(r4_row[k], w)
-    return out
-
-
 def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> float:
     # ridge is relative to the matrix scale; an absolute one would dwarf
     # desk-scale interference powers (~1e-22 W)
@@ -165,32 +128,59 @@ def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> 
     return max(float(logabs / math.log(2.0)), 0.0)
 
 
+def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
+    """Every user's second and fourth Gaussian moments, one station at a time.
+
+    Returns (z_sum, interference), each of shape (K, N_s, N_s):
+    z_sum[k] = sum_m E{G_mk^H G_mk}, and interference[k] is
+    sum_m sum_l E{G_mk^H W_ml G_mk} for station m's receive-side weight
+    W_ml = E{G_ml Pbar_l G_ml^H} of user l.  For l = k it includes the extra
+    same-channel Wick pairing; it equals sum_l T_kl - E_k E_k^H after the
+    coherent part cancels.
+    """
+    n_ue = mask.shape[1]
+    n_r, n_s = stats.n_r, stats.n_s
+    # P P^H as dense diagonals
+    pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
+    z = np.empty((n_ue, len(mask), n_s, n_s), dtype=complex)
+    interference = np.zeros((n_ue, n_s, n_s), dtype=complex)
+    for m, row in enumerate(mask):
+        # station m's links as r4 tensors; one scalar beta at a time: see
+        # masked_covariance
+        r4 = [
+            masked_covariance(stats.corr, b).reshape((n_r, n_s, n_r, n_s), order="F")
+            for b in row
+        ]
+        weights = [np.einsum("apbq,pq->ab", r4_l, pbar_l) for r4_l, pbar_l in zip(r4, pbar)]
+        for k, r4_k in enumerate(r4):
+            z[k, m] = np.einsum("apai->ip", r4_k)
+            for w in weights:
+                interference[k] += np.einsum("bjai,ab->ij", r4_k, w)
+        # free station m's covariances before station m + 1 builds its own
+        del r4, weights
+    z_sum = np.array([np.sum(z_k, axis=0) for z_k in z])
+    return z_sum, interference
+
+
 def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, powers, noise_power) -> SeReport:
     """Closed-form spectral efficiency under maximum-ratio combining.
 
     ``mask[m, k]`` is the large-scale mask of the link from user k to
     station m.  All Gaussian moments are evaluated analytically from the
     masked channel covariance; channels of distinct stations or users are
-    independent.
+    independent.  The moments are taken in one pass over the stations:
+    station m's K covariances are built, contracted into every user's
+    interference sum (stations outer, users l inner) and freed before the
+    next station's, so a call holds one station's links whatever M is.
     """
-    n_bs, n_ue = mask.shape[:2]
+    n_ue = mask.shape[1]
     if len(powers) != n_ue:
         raise ValueError("one PowerAllocation per user required")
-    n_r, n_s = stats.n_r, stats.n_s
-    # one scalar beta at a time: see masked_covariance
-    cov_grid = [[masked_covariance(stats.corr, b) for b in row] for row in mask]
-    r4_grid = [[_as_r4(cov, n_r, n_s) for cov in row] for row in cov_grid]
-    z_grid = [[second_moment(cov, n_r, n_s) for cov in row] for row in cov_grid]
-    # P P^H as dense diagonals, weighted through each station's channel once
-    pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
-    weight_grid = [
-        [_weighted_outer(r4, pbar_l) for r4, pbar_l in zip(row, pbar)] for row in r4_grid
-    ]
+    z_sum, interference = _mr_moments(stats, mask, powers)
     per_ue = np.zeros(n_ue)
     for k in range(n_ue):
-        z_sum = np.sum([z_grid[m][k] for m in range(n_bs)], axis=0)
-        e_mat = z_sum * powers[k].amplitudes
-        psi = interference_terms(r4_grid, weight_grid, k) + noise_power * z_sum
+        e_mat = z_sum[k] * powers[k].amplitudes
+        psi = interference[k] + noise_power * z_sum[k]
         psi = (psi + np.conj(psi.T)) / 2.0
         eigs = np.linalg.eigvalsh(psi)
         if eigs.min() < -1e-8 * max(np.abs(eigs).max(), RIDGE):

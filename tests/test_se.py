@@ -20,14 +20,14 @@ from xlmimo.se import (
     MC_SLICE,
     PowerAllocation,
     SeReport,
+    _logdet_se,
     _mc_slice_sums,
+    _mr_moments,
     draw_channel_grid,
     gaussian_moment_oracle,
-    interference_terms,
     masked_covariance,
     se_closed_form_mr,
     se_monte_carlo,
-    second_moment,
 )
 
 WL = 0.01
@@ -78,15 +78,61 @@ def power_gram(p: PowerAllocation) -> np.ndarray:
     return pmat @ np.conj(pmat.T)
 
 
+def second_moment(cov, n_r, n_s):
+    """E{G^H G} from the covariance of vec(G)."""
+    return np.einsum("apai->ip", cov.reshape((n_r, n_s, n_r, n_s), order="F"))
+
+
+def grid_moments(stats, mask, powers):
+    """Reference for ``_mr_moments``: every link's moments built first.
+
+    Builds the M x K grids of covariances, r4 tensors, second moments and
+    receive-side weights before contracting any of them, then sums each
+    user's interference with stations outer and users l inner.
+    """
+    n_bs, n_ue = mask.shape[:2]
+    n_r, n_s = stats.n_r, stats.n_s
+    cov_grid = [[masked_covariance(stats.corr, b) for b in row] for row in mask]
+    r4_grid = [
+        [cov.reshape((n_r, n_s, n_r, n_s), order="F") for cov in row] for row in cov_grid
+    ]
+    z_grid = [[second_moment(cov, n_r, n_s) for cov in row] for row in cov_grid]
+    pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
+    weight_grid = [
+        [np.einsum("apbq,pq->ab", r4, pbar_l) for r4, pbar_l in zip(row, pbar)]
+        for row in r4_grid
+    ]
+    z_sum = np.array([np.sum([z_grid[m][k] for m in range(n_bs)], axis=0) for k in range(n_ue)])
+    interference = np.zeros((n_ue, n_s, n_s), dtype=complex)
+    for k in range(n_ue):
+        for r4_row, weight_row in zip(r4_grid, weight_grid):
+            for w in weight_row:
+                interference[k] += np.einsum("bjai,ab->ij", r4_row[k], w)
+    return z_sum, interference
+
+
+def grid_closed_form(stats, mask, powers, noise_power):
+    """Reference for ``se_closed_form_mr`` on the moments of ``grid_moments``."""
+    z_sum, interference = grid_moments(stats, mask, powers)
+    per_ue = np.zeros(len(powers))
+    for k, p in enumerate(powers):
+        psi = interference[k] + noise_power * z_sum[k]
+        psi = (psi + np.conj(psi.T)) / 2.0
+        per_ue[k] = _logdet_se(z_sum[k] * p.amplitudes, psi)
+    return per_ue
+
+
 @st.composite
-def small_systems(draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1):
+def small_systems(
+    draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1, zero_shares=False
+):
     """Random small cell-free system: (stats, masks, powers) with M, K >= 2.
 
     Stations are n_h x n_v surfaces of up to 3 x 3 antennas at 10 m height,
     users the given surface shapes at 1.5 m, all placed in a 200 m square;
     ``masks`` holds both kinds of large-scale mask (see ``link_masks``).  Each
     user radiates a random share of the 0.2 W budget, split randomly over its
-    antennas.
+    antennas; with ``zero_shares`` some antennas, or a whole user, get none.
     """
     m_bs = draw(st.integers(2, 3))
     k_ue = draw(st.integers(2, 3))
@@ -108,11 +154,16 @@ def small_systems(draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1):
         build_surface(n_h_r, n_v_r, spacing_r), build_surface(n_h_s, n_v_s, spacing_s), WL
     )
     n_s = n_h_s * n_v_s
+    share = st.floats(0.1, 1.0)
+    if zero_shares:
+        share = st.one_of(st.just(0.0), share)
     powers = []
     for _ in range(k_ue):
-        shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n_s, max_size=n_s)))
+        shares = np.array(draw(st.lists(share, min_size=n_s, max_size=n_s)))
         load = draw(st.floats(0.2, 1.0))
-        powers.append(PowerAllocation(np.sqrt(0.2 * load * shares / shares.sum()), 0.2))
+        total = shares.sum()
+        amplitudes = np.sqrt(0.2 * load * shares / total) if total > 0 else shares
+        powers.append(PowerAllocation(amplitudes, 0.2))
     return stats, link_masks(stations, users), powers
 
 
@@ -257,6 +308,25 @@ class TestMonteCarloReferences:
             assert_blockwise_close(t_sum, t_ref, rtol=1e-12)
 
 
+class TestClosedFormReference:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_systems(zero_shares=True))
+    def test_bitwise_equal_to_grid_reference(self, system):
+        # the station-outer pass adds the same terms in the same order as
+        # the grid algorithm, so every moment and every per-user SE is equal
+        # to the last bit
+        stats, masks, powers = system
+        for kind in ("lsf", "beta"):
+            mask = masks[kind]
+            for moment, reference in zip(
+                _mr_moments(stats, mask, powers), grid_moments(stats, mask, powers)
+            ):
+                assert moment.tobytes() == reference.tobytes(), f"mask={kind}"
+            per_ue = se_closed_form_mr(stats, mask, powers, NOISE).per_ue
+            reference = grid_closed_form(stats, mask, powers, NOISE)
+            assert per_ue.tobytes() == reference.tobytes(), f"mask={kind}"
+
+
 class TestRandomizedAgreement:
     """Closed form vs Monte-Carlo on random small geometries with full-rank psi.
 
@@ -276,13 +346,9 @@ class TestRandomizedAgreement:
     def test_closed_form_agrees_with_monte_carlo(self, system):
         stats, masks, powers = system
         tol = 0.02 * math.sqrt(10_000 / self.DRAWS)
-        n_r, n_s = stats.n_r, stats.n_s
         for kind in ("lsf", "beta"):
             mask = masks[kind]
-            for k in range(len(powers)):
-                z_sum = sum(
-                    second_moment(masked_covariance(stats.corr, b), n_r, n_s) for b in mask[:, k]
-                )
+            for z_sum in _mr_moments(stats, mask, powers)[0]:
                 eigs = np.linalg.eigvalsh(z_sum)
                 assert eigs.min() > 1e-3 * eigs.max()
             closed = se_closed_form_mr(stats, mask, powers, NOISE)
@@ -324,6 +390,27 @@ class TestMonteCarloMemory:
         full = peak(10_000)
         assert full <= 1.05 * one_slice, (
             f"peak {full / 1e6:.2f} MB at 10,000 draws, {one_slice / 1e6:.2f} MB at one slice"
+        )
+
+
+class TestClosedFormMemory:
+    def test_peak_flat_in_station_count(self):
+        # a 4 x 4 receive surface and 4 user antennas: each link's 64 x 64
+        # covariance dominates the working set, and only one station's links
+        # may be alive at a time
+        def peak(m_bs):
+            stats, lsf = stats_grid(m_bs, 3, n_h_r=4, n_v_r=4, n_h_s=4, n_v_s=1)
+            powers = [full_power(stats.n_s) for _ in range(3)]
+            tracemalloc.start()
+            try:
+                se_closed_form_mr(stats, lsf, powers, NOISE)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, six = peak(2), peak(6)
+        assert six <= 1.1 * two, (
+            f"peak {six / 1e3:.1f} kB with 6 stations, {two / 1e3:.1f} kB with 2"
         )
 
 
@@ -382,10 +469,7 @@ class TestClosedFormSe:
             [covs[m][k].reshape(n_r, n_s, n_r, n_s, order="F") for k in range(2)]
             for m in range(2)
         ]
-        weights = [
-            [np.einsum("apbq,pq->ab", r4[m][l], pbar[l]) for l in range(2)]
-            for m in range(2)
-        ]
+        z_sum_prod, interference = _mr_moments(stats, lsf, p)
         for k in range(2):
             t_sum = np.zeros((n_s, n_s), dtype=complex)
             for l in range(2):
@@ -407,7 +491,7 @@ class TestClosedFormSe:
             z_sum = z[0][k] + z[1][k]
             e_mat = z_sum @ transmit_matrix(p[k])
             psi_theorem = t_sum - e_mat @ np.conj(e_mat.T) + NOISE * z_sum
-            psi_prod = interference_terms(r4, weights, k) + NOISE * z_sum
+            psi_prod = interference[k] + NOISE * z_sum_prod[k]
             np.testing.assert_allclose(psi_prod, psi_theorem, rtol=1e-10, atol=1e-22)
 
     def test_deterministic_report(self):
