@@ -115,7 +115,7 @@ class DoubleLayerTrainer(Trainer):
     def _choose(self, obs, noise_std, env):
         raw1 = self.core.act(obs, noise_std)
         s2, raw2, allocations = self._layer2(raw1, env, noise_std)
-        return raw1, self.env_actions(raw1), allocations, {"s2": s2, "raw2": raw2}
+        return raw1, allocations, {"s2": s2, "raw2": raw2}
 
     def _store(self, obs, raw1, rewards, next_obs, extras):
         self.core.record(obs, raw1, rewards, next_obs)

@@ -2,8 +2,10 @@
 
 Base stations and users live on a wrap-around square (a torus), each
 carrying a planar antenna surface.  Agents observe aggregate large-scale
-fading, choose a transmit power budget and optionally a movement step and
-angle, and are rewarded with their closed-form spectral efficiency.  A
+fading, choose a transmit power budget and, in the mobile scenarios, a
+movement step and angle, and are rewarded with their closed-form spectral
+efficiency.  ``step`` takes one action row per agent whose columns follow
+``action_ranges``: power, then step and angle.  A
 predictive-management rule rescales movement steps based on the team
 reward: shrink them when the team is doing well, stretch them when it is
 not.
@@ -21,7 +23,6 @@ from .se import PowerAllocation, se_closed_form_mr
 
 __all__ = [
     "MdpTuple",
-    "AgentAction",
     "WorldState",
     "EnvParams",
     "CellFreeEnv",
@@ -53,24 +54,6 @@ class MdpTuple:
             raise ValueError("beta_acc must exceed 1")
         if self.r_b >= self.r_g:
             raise ValueError("r_b must be below r_g")
-
-
-@dataclass(frozen=True)
-class AgentAction:
-    """Per-user action: power budget plus, in mobile scenarios, a move."""
-
-    power: float
-    step: float | None = None
-    angle: float | None = None
-
-    def __post_init__(self):
-        vals = [self.power] + [v for v in (self.step, self.angle) if v is not None]
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError(f"action components must be finite, got {self!r}")
-
-    @property
-    def mobile(self) -> bool:
-        return self.step is not None and self.angle is not None
 
 
 @dataclass
@@ -204,7 +187,10 @@ class CellFreeEnv:
 
     @property
     def action_ranges(self) -> np.ndarray:
-        """Upper bound per action component (lower bounds are all zero)."""
+        """Upper bound per action column: power, then step and angle when mobile.
+
+        Lower bounds are all zero.
+        """
         p = self.params
         if p.scenario == "static":
             return np.array([p.p_max])
@@ -316,11 +302,11 @@ class CellFreeEnv:
         pair_mask = dict(zip(LSF_MODES, (self._pair_beta, self._pair_lsf)))[p.lsf_mode]
         return np.array([[pair_mask(m, k) for k in range(p.k_ue)] for m in range(p.m_bs)])
 
-    def allocations_from_actions(self, actions) -> list:
-        """Uniform per-antenna split of each user's power budget."""
+    def allocations_from_actions(self, actions: np.ndarray) -> list:
+        """Uniform per-antenna split of each user's power budget (column 0)."""
         allocs = []
-        for a in actions:
-            budget = min(max(a.power, 0.0), self.params.p_max)
+        for power in actions[:, 0].tolist():
+            budget = min(max(power, 0.0), self.params.p_max)
             raw = np.full(self.n_s, math.sqrt(budget / self.n_s))
             allocs.append(project_power(raw, budget))
         return allocs
@@ -328,41 +314,43 @@ class CellFreeEnv:
     def step(self, actions, allocations=None):
         """Advance one slot: rewards at the current positions, then movement.
 
-        Returns (observation, rewards, info).  Rewards are the per-user
-        closed-form SE under the induced (or supplied) power allocations;
-        in the mobile scenarios users then move by
-        (step*cos(angle), step*sin(angle)) with the predictive rule
-        rescaling steps in ``pm-dynamic``.
+        ``actions`` is a (K, len(action_ranges)) array, one row per user in
+        ``action_ranges`` column order.  Returns (observation, rewards,
+        info).  Rewards are the per-user closed-form SE under the induced
+        (or supplied) power allocations; in the mobile scenarios users then
+        move by (step*cos(angle), step*sin(angle)) with the predictive rule
+        rescaling steps in ``pm-dynamic``.  ``info`` carries each
+        allocation's ``power_trace`` and ``budgets`` and the post-move
+        ``positions``.
         """
         if self.world is None:
             raise RuntimeError("reset() must be called before step()")
         p = self.params
-        if len(actions) != p.k_ue:
-            raise ValueError("one action per user required")
+        actions = np.asarray(actions, dtype=float)
+        shape = (p.k_ue, len(self.action_ranges))
+        if actions.shape != shape:
+            raise ValueError(f"actions must have shape {shape}, got {actions.shape}")
+        if not np.isfinite(actions).all():
+            raise ValueError("action components must be finite")
         if allocations is None:
             allocations = self.allocations_from_actions(actions)
         for alloc in allocations:
             if alloc.trace > alloc.budget + 1e-12 or alloc.budget > p.p_max + 1e-12:
                 raise ValueError("allocation violates the power constraint")
-        report = se_closed_form_mr(
+        rewards = se_closed_form_mr(
             self.channel_stats, self.stats_grid(), allocations, p.noise_power
-        )
-        rewards = report.per_ue.copy()
+        ).per_ue
         if p.scenario != "static":
             team = float(rewards.sum())
             ue = self.world.ue_positions.copy()
-            for k, a in enumerate(actions):
-                if not a.mobile:
-                    raise ValueError(f"scenario {p.scenario!r} requires mobile actions")
-                step_len = min(max(a.step, 0.0), p.d_max)
+            for k, (_, step, angle) in enumerate(actions.tolist()):
+                step_len = min(max(step, 0.0), p.d_max)
                 if p.scenario == "pm-dynamic":
                     step_len = predictive_limit(team, step_len, p.mdp)
-                ue[k, 0] += step_len * math.cos(a.angle)
-                ue[k, 1] += step_len * math.sin(a.angle)
+                ue[k, 0] += step_len * math.cos(angle)
+                ue[k, 1] += step_len * math.sin(angle)
             self.world.ue_positions = wrap_coords(ue, p.area)
         info = {
-            "sum_se": float(rewards.sum()),
-            "se_report": report,
             "power_trace": [alloc.trace for alloc in allocations],
             "budgets": [alloc.budget for alloc in allocations],
             "positions": self.world.ue_positions.copy(),

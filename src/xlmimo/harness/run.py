@@ -34,16 +34,22 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
-CSV_COLUMNS_FIXED = [
-    "sum_se",
+# metrics.csv columns holding a control layer's update losses, empty
+# while its replay holds fewer than update_after transitions
+LOSS_COLUMNS = [
     "critic_loss_global",
     "critic_loss_local_mean",
     "layer2_critic_loss_global",
     "layer2_critic_loss_local_mean",
-    "pr_min",
-    "pr_mean",
-    "pr_max",
-    "converged",
+]
+SWEEP_COLUMNS = [
+    "axis",
+    "value",
+    "seed",
+    "config_hash",
+    "convergence_episode",
+    "final_sum_se_mean",
+    "final_sum_se_std",
 ]
 
 SWEEP_AXES = {
@@ -141,7 +147,8 @@ def evaluate_greedy(trainer, cfg: ExperimentConfig, round_key: int) -> dict:
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    """One CSV field: None is empty, a float its repr, anything else its str."""
+    if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
@@ -159,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     out.mkdir(parents=True, exist_ok=True)
     env, trainer = build_trainer(cfg)
 
-    step_rows = []
+    csv_rows = []  # metrics.csv fields up to the converged flag
     episode_mean_sum_se = []
     eval_rounds = []
     episode_seconds = []
@@ -172,21 +179,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
         episode_mean_sum_se.append(float(sums.mean()))
         for step in range(cfg.steps):
             losses = metrics["losses"][step]
-            prs = metrics["priority_stats"][step]
-            row = {
-                "episode": episode,
-                "step": step,
-                "rewards": metrics["rewards"][step],
-                "sum_se": metrics["sum_se"][step],
-                "critic_loss_global": losses.get("critic_loss_global", ""),
-                "critic_loss_local_mean": losses.get("critic_loss_local_mean", ""),
-                "layer2_critic_loss_global": losses.get("layer2_critic_loss_global", ""),
-                "layer2_critic_loss_local_mean": losses.get("layer2_critic_loss_local_mean", ""),
-                "pr_min": prs[0],
-                "pr_mean": prs[1],
-                "pr_max": prs[2],
-            }
-            step_rows.append(row)
+            csv_rows.append([episode, step, *metrics["rewards"][step].tolist(),
+                             metrics["sum_se"][step], *map(losses.get, LOSS_COLUMNS),
+                             *metrics["priority_stats"][step]])
             if log_trajectories:
                 traj_lines.append(
                     json.dumps(
@@ -209,31 +204,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     convergence = detect_convergence(episode_mean_sum_se, cfg.n_conv, cfg.delta_conv)
     final_eval = eval_rounds[-1]
 
-    # metrics.csv
-    k = cfg.k_ue
-    header = ["episode", "step"] + [f"se_ue{i}" for i in range(k)] + CSV_COLUMNS_FIXED
+    header = ["episode", "step", *(f"se_ue{i}" for i in range(cfg.k_ue)), "sum_se",
+              *LOSS_COLUMNS, "pr_min", "pr_mean", "pr_max", "converged"]
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in step_rows:
-            converged = (
-                "" if convergence is None else int(row["episode"] >= convergence)
-            )
-            writer.writerow(
-                [row["episode"], row["step"]]
-                + [_fmt(float(x)) for x in row["rewards"]]
-                + [
-                    _fmt(row["sum_se"]),
-                    _fmt(row["critic_loss_global"]),
-                    _fmt(row["critic_loss_local_mean"]),
-                    _fmt(row["layer2_critic_loss_global"]),
-                    _fmt(row["layer2_critic_loss_local_mean"]),
-                    _fmt(row["pr_min"]),
-                    _fmt(row["pr_mean"]),
-                    _fmt(row["pr_max"]),
-                    converged,
-                ]
-            )
+        for fields in csv_rows:
+            converged = None if convergence is None else int(fields[0] >= convergence)
+            writer.writerow([_fmt(v) for v in (*fields, converged)])
 
     summary = {
         "version": 1,
@@ -293,33 +271,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir,
         sub_cfg = dataclasses.replace(cfg, **{axis: cast(value)})
         summary = run_experiment(sub_cfg, out / f"point_{i:03d}",
                                  log_trajectories=log_trajectories)
-        rows.append(
-            {
-                "axis": axis,
-                "value": cast(value),
-                "seed": sub_cfg.seed,
-                "config_hash": summary["config_hash"],
-                "convergence_episode": summary["convergence_episode"],
-                "final_sum_se_mean": summary["final_sum_se_mean"],
-                "final_sum_se_std": summary["final_sum_se_std"],
-            }
-        )
+        # the summary holds every column but the sweep point's own two
+        rows.append({"axis": axis, "value": cast(value),
+                     **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["axis", "value", "seed", "config_hash", "convergence_episode",
-             "final_sum_se_mean", "final_sum_se_std"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r["axis"],
-                    _fmt(r["value"]) if isinstance(r["value"], float) else r["value"],
-                    r["seed"],
-                    r["config_hash"],
-                    "" if r["convergence_episode"] is None else r["convergence_episode"],
-                    _fmt(r["final_sum_se_mean"]),
-                    _fmt(r["final_sum_se_std"]),
-                ]
-            )
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([_fmt(r[c]) for c in SWEEP_COLUMNS] for r in rows)
     return rows

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import AgentAction
 from ..seeding import stream
 from .nets import Actor, Mlp, clip_gradients, sgd_step, sigmoid, soft_update
 from .replay import Batch, ReplayBuffer, fill_extraction_pool
@@ -470,7 +469,12 @@ class Trainer:
     """Episode loop: act with exploration noise, step the world, replay, update.
 
     Handles the single-layer architecture; the double-layer trainer extends
-    the per-step hooks.
+    the per-step hooks.  ``env`` needs ``reset``, ``step``, ``n_agents``,
+    ``state_dim`` and ``action_ranges``; ``step`` receives the actors' raw
+    action rows, one per agent, in ``action_ranges`` column order.  The
+    episode metrics copy ``power_trace``, ``budgets`` and ``positions`` from
+    ``step``'s ``info`` when it has them (``trajectory.jsonl`` is built from
+    them) and log empty traces otherwise.
     """
 
     def __init__(self, env, settings: TrainerSettings, variant, master_seed: int,
@@ -499,18 +503,9 @@ class Trainer:
         frac = min(1.0, self.global_step / (total - 1))
         return self.cfg.noise_start + (self.cfg.noise_end - self.cfg.noise_start) * frac
 
-    def env_actions(self, raw: np.ndarray):
-        if self.scenario == "static":
-            return [AgentAction(power=float(a[0])) for a in raw]
-        return [
-            AgentAction(power=float(a[0]), step=float(a[1]), angle=float(a[2]))
-            for a in raw
-        ]
-
     # -- per-step hooks (overridden by the double-layer trainer) --------------
     def _choose(self, obs, noise_std, env):
-        raw = self.core.act(obs, noise_std)
-        return raw, self.env_actions(raw), None, {}
+        return self.core.act(obs, noise_std), None, {}
 
     def _store(self, obs, raw, rewards, next_obs, extras):
         self.core.record(obs, raw, rewards, next_obs)
@@ -534,14 +529,14 @@ class Trainer:
         }
         for _ in range(self.cfg.steps):
             noise = self.noise_std()
-            raw, acts, allocations, extras = self._choose(obs, noise, self.env)
-            next_obs, rewards, info = self.env.step(acts, allocations=allocations)
+            raw, allocations, extras = self._choose(obs, noise, self.env)
+            next_obs, rewards, info = self.env.step(raw, allocations=allocations)
             self._store(obs, raw, rewards, next_obs, extras)
             losses = self._update()
             obs = next_obs
             self.global_step += 1
             metrics["rewards"].append(np.asarray(rewards, dtype=float))
-            metrics["sum_se"].append(info.get("sum_se", float(np.sum(rewards))))
+            metrics["sum_se"].append(float(np.sum(rewards)))
             metrics["actions"].append(raw.copy())
             metrics["power_trace"].append(info.get("power_trace", []))
             metrics["budgets"].append(info.get("budgets", []))
@@ -559,10 +554,10 @@ class Trainer:
         rewards_trace = []
         sum_trace = []
         for _ in range(self.cfg.steps):
-            _, acts, allocations, _ = self._choose(obs, 0.0, env)
-            obs, rewards, info = env.step(acts, allocations=allocations)
+            raw, allocations, _ = self._choose(obs, 0.0, env)
+            obs, rewards, _ = env.step(raw, allocations=allocations)
             rewards_trace.append(np.asarray(rewards, dtype=float))
-            sum_trace.append(info.get("sum_se", float(np.sum(rewards))))
+            sum_trace.append(float(np.sum(rewards)))
         return {"rewards": rewards_trace, "sum_se": sum_trace}
 
     # -- checkpoints --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from xlmimo.channel import lsf_matrix
 from xlmimo.env import (
-    AgentAction,
     CellFreeEnv,
     EnvParams,
     MdpTuple,
@@ -28,12 +28,12 @@ def make_env(seed=0, **overrides):
 
 def static_actions(env, power=None):
     p = env.params.p_max if power is None else power
-    return [AgentAction(power=p) for _ in range(env.n_agents)]
+    return np.full((env.n_agents, 1), p)
 
 
 def mobile_actions(env, power=None, step=0.0, angle=0.0):
     p = env.params.p_max if power is None else power
-    return [AgentAction(power=p, step=step, angle=angle) for _ in range(env.n_agents)]
+    return np.tile([p, step, angle], (env.n_agents, 1))
 
 
 class TestMdpTuple:
@@ -211,7 +211,7 @@ class TestStep:
     def test_moves_along_x(self):
         env = make_env(scenario="dynamic", m_bs=1, k_ue=1)
         env.set_world([[500.0, 500.0, 10.0]], [[100.0, 200.0, 1.5]])
-        env.step([AgentAction(power=0.1, step=5.0, angle=0.0)])
+        env.step(np.array([[0.1, 5.0, 0.0]]))
         np.testing.assert_allclose(env.world.ue_positions[0], [105.0, 200.0, 1.5])
 
     def test_zero_step_matches_static_rewards(self):
@@ -234,14 +234,14 @@ class TestStep:
         expected = se_closed_form_mr(
             env.channel_stats, env.stats_grid(), allocs, env.params.noise_power
         )
-        _, rewards, info = env.step(actions)
-        assert info["sum_se"] == pytest.approx(expected.sum_se, abs=1e-12)
+        _, rewards, _ = env.step(actions)
+        assert float(np.sum(rewards)) == pytest.approx(expected.sum_se, abs=1e-12)
         np.testing.assert_allclose(rewards, expected.per_ue, atol=1e-15)
 
     def test_z_invariant_and_wrap(self):
         env = make_env(scenario="dynamic", m_bs=1, k_ue=1)
         env.set_world([[500.0, 500.0, 10.0]], [[998.0, 1.0, 1.5]])
-        env.step([AgentAction(power=0.1, step=5.0, angle=0.0)])
+        env.step(np.array([[0.1, 5.0, 0.0]]))
         pos = env.world.ue_positions[0]
         assert pos[0] == pytest.approx(3.0)
         assert pos[2] == 1.5
@@ -261,10 +261,10 @@ class TestStep:
         env_a.reset(), env_b.reset()
         rng = np.random.default_rng(8)
         for _ in range(4):
-            acts = [
-                AgentAction(power=0.1, step=rng.uniform(0, 5), angle=rng.uniform(0, 2 * math.pi))
+            acts = np.array([
+                [0.1, rng.uniform(0, 5), rng.uniform(0, 2 * math.pi)]
                 for _ in range(env_a.n_agents)
-            ]
+            ])
             env_a.step(acts)
             env_b.step(acts)
         np.testing.assert_allclose(
@@ -276,12 +276,12 @@ class TestStep:
         env = make_env(scenario="pm-dynamic", m_bs=1, k_ue=1, mdp=mdp)
         env.set_world([[500.0, 500.0, 10.0]], [[100.0, 200.0, 1.5]])
         # team reward sits in the identity band; then force the good branch
-        env.step([AgentAction(power=0.1, step=4.0, angle=0.0)])
+        env.step(np.array([[0.1, 4.0, 0.0]]))
         assert env.world.ue_positions[0, 0] == pytest.approx(104.0)
         mdp2 = MdpTuple(alpha=0.5, beta_acc=2.0, r_g=1e-30, r_b=1e-31)
         env2 = make_env(scenario="pm-dynamic", m_bs=1, k_ue=1, mdp=mdp2)
         env2.set_world([[500.0, 500.0, 10.0]], [[100.0, 200.0, 1.5]])
-        env2.step([AgentAction(power=0.1, step=4.0, angle=0.0)])
+        env2.step(np.array([[0.1, 4.0, 0.0]]))
         assert env2.world.ue_positions[0, 0] == pytest.approx(102.0)
 
     def test_power_constraint_always_respected(self):
@@ -294,10 +294,32 @@ class TestStep:
                 assert budget <= env.params.p_max + 1e-12
 
     def test_rejects_nan_action(self):
-        env = make_env()
+        for scenario, column in [("static", 0), ("dynamic", 0), ("dynamic", 2)]:
+            env = make_env(scenario=scenario)
+            env.reset()
+            actions = mobile_actions(env, step=1.0)[:, : len(env.action_ranges)]
+            actions[-1, column] = float("nan")
+            with pytest.raises(ValueError, match="finite"):
+                env.step(actions)
+
+    @pytest.mark.parametrize(
+        "scenario, shape", [("dynamic", (2, 1)), ("static", (3, 1)), ("static", (2,))]
+    )
+    def test_rejects_wrong_shape(self, scenario, shape):
+        env = make_env(scenario=scenario, k_ue=2)
         env.reset()
-        with pytest.raises(ValueError, match="finite"):
-            env.step([AgentAction(power=float("nan"))] + static_actions(env)[1:])
+        expected = f"shape ({env.n_agents}, {len(env.action_ranges)})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            env.step(np.full(shape, 0.1))
+
+    def test_accepts_list_of_rows(self):
+        env_a, env_b = make_env(seed=3, scenario="dynamic"), make_env(seed=3, scenario="dynamic")
+        env_a.reset(), env_b.reset()
+        rows = [[0.1, 2.0, 1.0], [0.05, 3.0, 4.0]]
+        _, r_a, _ = env_a.step(rows)
+        _, r_b, _ = env_b.step(np.array(rows))
+        np.testing.assert_array_equal(r_a, r_b)
+        np.testing.assert_array_equal(env_a.world.ue_positions, env_b.world.ue_positions)
 
     def test_requires_reset(self):
         env = make_env()

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -202,6 +203,36 @@ class TestRunExperiment:
             "layer2_critic_loss_local_mean,pr_min,pr_mean,pr_max,converged"
         )
 
+    @pytest.mark.parametrize(
+        "architecture, variant, n_conv",
+        [("single", "mimo-maddpg", 1), ("single", "maddpg", 1), ("double", "de-maddpg", 1),
+         ("double", "pes-maddpg", 5)],
+    )
+    def test_csv_row_contract(self, tmp_path, architecture, variant, n_conv):
+        cfg = tiny_config(seed=7, scenario="dynamic", architecture=architecture,
+                          variant=variant, n_conv=n_conv)
+        summary = run_experiment(cfg, tmp_path / "run")
+        with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == cfg.episodes * cfg.steps
+        local = variant in ("de-maddpg", "mimo-maddpg")
+        layer2 = architecture == "double"
+        conv = summary["convergence_episode"]
+        for g, row in enumerate(rows):
+            episode = int(row["episode"])
+            assert (episode, int(row["step"])) == divmod(g, cfg.steps)
+            # each step stores one transition per layer before updating
+            ready = g + 1 >= cfg.update_after
+            assert (row["critic_loss_global"] != "") == ready
+            assert (row["critic_loss_local_mean"] != "") == (ready and local)
+            assert (row["layer2_critic_loss_global"] != "") == (ready and layer2)
+            assert (row["layer2_critic_loss_local_mean"] != "") == (ready and layer2 and local)
+            assert row["converged"] == ("" if conv is None else str(int(episode >= conv)))
+        for episode, mean in enumerate(summary["episode_mean_sum_se"]):
+            sums = [float(r["sum_se"]) for r in rows if int(r["episode"]) == episode]
+            assert float(np.mean(sums)) == mean
+        assert (conv is None) == (n_conv > cfg.episodes)
+
     def test_trajectory_log(self, tmp_path):
         cfg = tiny_config(seed=3, scenario="dynamic")
         run_experiment(cfg, tmp_path / "run", log_trajectories=True)
@@ -238,6 +269,19 @@ class TestSweep:
         assert len(rows) == 10
         assert len({r["seed"] for r in rows}) == 10
         assert len({r["config_hash"] for r in rows}) == 1
+
+    @pytest.mark.parametrize("axis, values", [("spacing_s", ["0.25", "0.3"]), ("k_ue", ["1", "3"])])
+    def test_csv_parses_back_to_rows(self, tmp_path, axis, values):
+        cfg = tiny_config(episodes=2, steps=4, eval_every=1, eval_draws=1, n_conv=1)
+        rows = sweep(cfg, axis, values, tmp_path / "sweep")
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            parsed = list(csv.DictReader(fh))
+        assert [list(r) for r in parsed] == [list(r) for r in rows]
+        cast = {"seed": int, "convergence_episode": int, "final_sum_se_mean": float,
+                "final_sum_se_std": float, "value": type(rows[0]["value"])}
+        for row, text in zip(rows, parsed):
+            back = {k: (None if v == "" else cast.get(k, str)(v)) for k, v in text.items()}
+            assert back == row
 
     def test_unknown_axis(self, tmp_path):
         with pytest.raises(ConfigError, match="axis"):

@@ -41,8 +41,8 @@ class QuadraticBandit:
         return 1.0 - ((p - self.p_star) / self.p_max) ** 2
 
     def step(self, actions, allocations=None):
-        r = self.reward(actions[0].power)
-        return np.array([[1.0]]), np.array([r]), {"sum_se": r}
+        r = self.reward(float(actions[0, 0]))
+        return np.array([[1.0]]), np.array([r]), {}
 
 
 def small_settings(**over):
