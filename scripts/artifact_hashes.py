@@ -2,9 +2,12 @@
 
 The grid covers variant x architecture x scenario x lsf_mode x geometry
 (the ``desk`` preset and the C10 trend-lab geometry), with
-``weight_sharing`` on every third run.  Each run trains with trajectories
-and evaluates its checkpoint; every (geometry, lsf_mode, power rule) pair
-is simulated with geometry dump; a few seeded sweeps close the list.
+``weight_sharing`` on every third run, then both architectures under both
+lsf modes on a wide-surface geometry whose N_r * N_s is at least
+``xlmimo.se.THREAD_MIN_DIM``, so that its closed form runs on the thread
+pool.  Each run trains with trajectories and evaluates its checkpoint;
+every (geometry, lsf_mode, power rule) pair is simulated with geometry
+dump; a few seeded sweeps close the list.
 ``timing.json`` is wall-clock data and is skipped; the input configs are
 listed too.
 
@@ -40,6 +43,12 @@ GEOMETRIES = {
     # the C10 trend lab: lambda = 2 m on a 120 m area, fixed placement
     "trend": dict(wavelength=2.0, area=120.0, min_bs_spacing=40.0, n_h_s=4,
                   n_v_s=1, fixed_placement=True, r_g=2.3, r_b=1.9, alpha=0.1),
+    # an 8 x 8 receive surface and 2 x 2 users: N_r * N_s = 256.  In the
+    # desk's 1000 m area interference is 1e-5 of the noise, and adding each
+    # user's interference terms in reverse order changed no artifact; in
+    # 30 m it is about a quarter, and the same reordering changes 15
+    "wide": dict(m_bs=2, k_ue=3, n_h_r=8, n_v_r=8, n_h_s=2, n_v_s=2, area=30.0,
+                 min_bs_spacing=10.0),
 }
 # small enough for seconds per run, large enough that updates and a
 # detected convergence episode show up
@@ -66,7 +75,10 @@ def write_config(path: Path, data: dict) -> Path:
 
 
 def produce(root: Path) -> None:
-    grid = itertools.product(GEOMETRIES, LSF_MODES, ARCHITECTURES, SCENARIOS, VARIANTS)
+    grid = itertools.chain(
+        itertools.product(("desk", "trend"), LSF_MODES, ARCHITECTURES, SCENARIOS, VARIANTS),
+        itertools.product(("wide",), LSF_MODES, ARCHITECTURES, ("dynamic",), ("mimo-maddpg",)),
+    )
     for i, (geo, lsf, arch, scenario, variant) in enumerate(grid):
         run = root / "runs" / f"{i:03d}-{geo}-{lsf}-{arch}-{scenario}-{variant}"
         run.mkdir(parents=True)

@@ -42,6 +42,8 @@ LOSS_COLUMNS = [
     "layer2_critic_loss_global",
     "layer2_critic_loss_local_mean",
 ]
+# the train_episode series metrics.csv is built from
+CSV_SERIES = ("rewards", "sum_se", "losses", "priority_stats")
 SWEEP_COLUMNS = [
     "axis",
     "value",
@@ -155,6 +157,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _metrics_columns(k_ue: int, convergence):
+    """metrics.csv's columns in order, as (name, getter) pairs.
+
+    A getter maps (episode, step, series) to the field, where ``series``
+    holds the episode's ``CSV_SERIES`` from ``train_episode``; ``converged``
+    flags the episodes from ``convergence`` on, and is empty when training
+    never converged.
+    """
+    return [
+        ("episode", lambda e, t, s: e),
+        ("step", lambda e, t, s: t),
+        *((f"se_ue{i}", lambda e, t, s, i=i: float(s["rewards"][t][i])) for i in range(k_ue)),
+        ("sum_se", lambda e, t, s: s["sum_se"][t]),
+        *((name, lambda e, t, s, name=name: s["losses"][t].get(name)) for name in LOSS_COLUMNS),
+        *((name, lambda e, t, s, j=j: s["priority_stats"][t][j])
+          for j, name in enumerate(("pr_min", "pr_mean", "pr_max"))),
+        ("converged", lambda e, t, s: None if convergence is None else int(e >= convergence)),
+    ]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = False) -> dict:
     """Train, evaluate periodically, and write the documented artifacts.
 
@@ -166,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     out.mkdir(parents=True, exist_ok=True)
     env, trainer = build_trainer(cfg)
 
-    csv_rows = []  # metrics.csv fields up to the converged flag
+    csv_episodes = []  # per episode, the step series metrics.csv reads
     episode_mean_sum_se = []
     eval_rounds = []
     episode_seconds = []
@@ -177,12 +199,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
         episode_seconds.append(time.perf_counter() - t0)
         sums = np.asarray(metrics["sum_se"], dtype=float)
         episode_mean_sum_se.append(float(sums.mean()))
-        for step in range(cfg.steps):
-            losses = metrics["losses"][step]
-            csv_rows.append([episode, step, *metrics["rewards"][step].tolist(),
-                             metrics["sum_se"][step], *map(losses.get, LOSS_COLUMNS),
-                             *metrics["priority_stats"][step]])
-            if log_trajectories:
+        csv_episodes.append({key: metrics[key] for key in CSV_SERIES})
+        if log_trajectories:
+            for step in range(cfg.steps):
                 traj_lines.append(
                     json.dumps(
                         {
@@ -204,14 +223,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     convergence = detect_convergence(episode_mean_sum_se, cfg.n_conv, cfg.delta_conv)
     final_eval = eval_rounds[-1]
 
-    header = ["episode", "step", *(f"se_ue{i}" for i in range(cfg.k_ue)), "sum_se",
-              *LOSS_COLUMNS, "pr_min", "pr_mean", "pr_max", "converged"]
+    columns = _metrics_columns(cfg.k_ue, convergence)
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for fields in csv_rows:
-            converged = None if convergence is None else int(fields[0] >= convergence)
-            writer.writerow([_fmt(v) for v in (*fields, converged)])
+        writer.writerow([name for name, _ in columns])
+        for episode, series in enumerate(csv_episodes):
+            for step in range(cfg.steps):
+                writer.writerow([_fmt(get(episode, step, series)) for _, get in columns])
 
     summary = {
         "version": 1,

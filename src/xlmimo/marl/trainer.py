@@ -579,6 +579,9 @@ class Trainer:
                 f"unsupported checkpoint version {state.get('version')}; "
                 f"this program reads version {CHECKPOINT_VERSION}"
             )
+        if state.get("scenario") != self.scenario:
+            raise ValueError(f"checkpoint holds scenario {state.get('scenario')!r}; "
+                             f"this configuration has scenario {self.scenario!r}")
         layers = self._layers()
         if sorted(state["layers"]) != sorted(layers):
             raise ValueError(f"checkpoint holds layers {sorted(state['layers'])}; "

@@ -8,7 +8,10 @@ bound over channel draws, and a closed form for maximum-ratio combining
 whose second and fourth Gaussian moments are evaluated analytically from
 the channel covariance.  Both walk their work in pieces of fixed size: the
 Monte-Carlo estimate one slice of draws at a time, the closed form one
-station's links at a time.
+station's links at a time.  From ``THREAD_MIN_DIM`` antenna pairs per link
+(N_r * N_s) up, the closed form spreads each station's per-user work over
+one thread per usable core; every sum keeps its serial order, so the
+result does not depend on the thread count.
 
 The channel of the link from user k to station m is G_mk = B_mk * H_mk:
 every H_mk has the one set of small-scale statistics ``stats`` and only the
@@ -20,6 +23,9 @@ per-antenna-pair coefficients; ``mask[m, k]`` is B_mk.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +38,6 @@ __all__ = [
     "se_monte_carlo",
     "se_closed_form_mr",
     "gaussian_moment_oracle",
-    "masked_covariance",
     "draw_channel_grid",
 ]
 
@@ -41,6 +46,13 @@ RIDGE = 1e-12
 # draws per slice of the Monte-Carlo estimate: one slice of every link's
 # channels is the working set, whatever the draw count
 MC_SLICE = 128
+
+# N_r * N_s from which the closed form spreads a station's users over
+# threads (_mr_moments).  Measured crossover, M = 9 stations, K = 6 users,
+# 2 cores, numpy 2.4.6, one BLAS thread, best of 5: two threads take
+# 1.3-1.4x the serial time at N_r * N_s = 96, break even at 128-160, and
+# run 1.4-1.7x faster at 192 and 1.7-1.8x at 729 (the full preset)
+THREAD_MIN_DIM = 192
 
 
 @dataclass
@@ -91,19 +103,6 @@ class SeReport:
 # ---------------------------------------------------------------------------
 
 
-def masked_covariance(corr: np.ndarray, b) -> np.ndarray:
-    """Covariance of the vectorized full channel B * H of one link.
-
-    ``b`` is the link's mask: a scalar beta or the (N_r, N_s) matrix of
-    per-antenna-pair coefficients.  A scalar is squared on its own with
-    ``**`` (C ``pow``), which can differ from ``b * b`` in the last bit.
-    """
-    if np.ndim(b) == 0:
-        return (b**2) * corr
-    vec_b = b.reshape(-1, order="F")
-    return corr * np.outer(vec_b, vec_b)
-
-
 def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> float:
     # ridge is relative to the matrix scale; an absolute one would dwarf
     # desk-scale interference powers (~1e-22 W)
@@ -128,6 +127,15 @@ def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> 
     return max(float(logabs / math.log(2.0)), 0.0)
 
 
+def _worker_count(n_ue: int) -> int:
+    """Threads for one closed-form call: the usable cores, at most one per user."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_ue))
+
+
 def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     """Every user's second and fourth Gaussian moments, one station at a time.
 
@@ -137,27 +145,62 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     W_ml = E{G_ml Pbar_l G_ml^H} of user l.  For l = k it includes the extra
     same-channel Wick pairing; it equals sum_l T_kl - E_k E_k^H after the
     coherent part cancels.
+
+    Station m's work runs in two rounds split by user: every user l's masked
+    covariance and weight W_ml, then every user k's Z_mk and interference
+    terms, added over l in order.  From ``THREAD_MIN_DIM`` up the users are
+    spread over ``_worker_count`` threads (numpy releases the GIL inside
+    both kinds of operation); below it, or on one core, the same per-user
+    functions run in turn on the calling thread.  Either way every
+    accumulator receives the same sums in the same order, so the result is
+    the serial one to the last bit.  The K covariance buffers, and one mask
+    scratch per thread, are allocated here once and reused by every station.
     """
-    n_ue = mask.shape[1]
+    n_bs, n_ue = mask.shape[:2]
     n_r, n_s = stats.n_r, stats.n_s
+    dim = n_r * n_s
+    corr = stats.corr
     # P P^H as dense diagonals
     pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
-    z = np.empty((n_ue, len(mask), n_s, n_s), dtype=complex)
+    z = np.empty((n_ue, n_bs, n_s, n_s), dtype=complex)
     interference = np.zeros((n_ue, n_s, n_s), dtype=complex)
-    for m, row in enumerate(mask):
-        # station m's links as r4 tensors; one scalar beta at a time: see
-        # masked_covariance
-        r4 = [
-            masked_covariance(stats.corr, b).reshape((n_r, n_s, n_r, n_s), order="F")
-            for b in row
-        ]
-        weights = [np.einsum("apbq,pq->ab", r4_l, pbar_l) for r4_l, pbar_l in zip(r4, pbar)]
-        for k, r4_k in enumerate(r4):
-            z[k, m] = np.einsum("apai->ip", r4_k)
-            for w in weights:
-                interference[k] += np.einsum("bjai,ab->ij", r4_k, w)
-        # free station m's covariances before station m + 1 builds its own
-        del r4, weights
+    n_workers = _worker_count(n_ue) if dim >= THREAD_MIN_DIM else 1
+    # each covariance in the layout numpy gives the unbuffered product: the
+    # layout of corr for a scalar beta, C order for a per-pair mask; the
+    # contractions below walk their operands in that layout
+    cov = np.empty((n_ue, dim, dim), dtype=complex)
+    if mask.ndim == 2 and not corr.flags.c_contiguous:
+        cov = cov.transpose(0, 2, 1)
+    r4 = [c.reshape((n_r, n_s, n_r, n_s), order="F") for c in cov]
+    scratch = np.empty((n_workers, dim, dim)) if mask.ndim == 4 else None
+    weights = [None] * n_ue
+    users = [range(w, n_ue, n_workers) for w in range(n_workers)]
+
+    def build(w, row):
+        for l in users[w]:
+            b = row[l]
+            if scratch is None:
+                # one scalar beta at a time: ``**`` is C pow, which can
+                # differ from b * b in the last bit
+                np.multiply(b**2, corr, out=cov[l])
+            else:
+                vec_b = b.reshape(-1, order="F")
+                np.multiply(corr, np.outer(vec_b, vec_b, out=scratch[w]), out=cov[l])
+            weights[l] = np.einsum("apbq,pq->ab", r4[l], pbar[l])
+
+    def contract(w, m):
+        for k in users[w]:
+            z[k, m] = np.einsum("apai->ip", r4[k])
+            for weight in weights:
+                interference[k] += np.einsum("bjai,ab->ij", r4[k], weight)
+
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        workers = range(n_workers)
+        for m, row in enumerate(mask):
+            # every weight of station m before any user's contractions
+            list(run(build, workers, [row] * n_workers))
+            list(run(contract, workers, [m] * n_workers))
     z_sum = np.array([np.sum(z_k, axis=0) for z_k in z])
     return z_sum, interference
 

@@ -113,6 +113,20 @@ class TestExitCodes:
         assert rc == 3
         assert "checkpoint version 1" in capsys.readouterr().err
 
+    def test_other_scenario_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
+        # pm-dynamic and dynamic share every network shape, so only the
+        # checkpoint's scenario tells them apart
+        assert main(["train", "--config", str(tiny_config_path), "--scenario", "pm-dynamic",
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(tiny_config_path), "--scenario", "dynamic",
+                   "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "scenario 'pm-dynamic'" in err and "scenario 'dynamic'" in err
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
     @pytest.mark.parametrize("preset", README_PRESETS)
     def test_dump_config_readme_presets(self, preset, capsys):
         assert main(["dump-config", "--preset", preset]) == 0

@@ -270,6 +270,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="actors"):
             fresh_trainer(cfg, k_ue=cfg.k_ue + 1).load_state_dict(state)
 
+    def test_rejects_other_scenario(self):
+        cfg, state = trained_state(scenario="pm-dynamic")
+        with pytest.raises(ValueError, match="scenario 'pm-dynamic'.*scenario 'dynamic'"):
+            fresh_trainer(cfg, scenario="dynamic").load_state_dict(state)
+
     def test_rejects_other_architecture(self):
         cfg, state = trained_state()
         with pytest.raises(ValueError, match="layers"):

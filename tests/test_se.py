@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlmimo import se
 from xlmimo.channel import (
     build_surface,
     fresnel_beta,
@@ -18,14 +22,15 @@ from xlmimo.harness.config import make_config
 from xlmimo.seeding import stream
 from xlmimo.se import (
     MC_SLICE,
+    THREAD_MIN_DIM,
     PowerAllocation,
     SeReport,
     _logdet_se,
     _mc_slice_sums,
     _mr_moments,
+    _worker_count,
     draw_channel_grid,
     gaussian_moment_oracle,
-    masked_covariance,
     se_closed_form_mr,
     se_monte_carlo,
 )
@@ -45,10 +50,12 @@ def link_masks(stations, users):
     }
 
 
-def stats_grid(m_bs=2, k_ue=2, n_h_r=2, n_v_r=2, n_h_s=2, n_v_s=1, spacing_factor=3.0):
+def stats_grid(m_bs=2, k_ue=2, n_h_r=2, n_v_r=2, n_h_s=2, n_v_s=1, spacing_factor=3.0,
+               kind="lsf"):
     """Small multi-station system with users at staggered positions.
 
-    Returns the shared statistics and the (M, K, N_r, N_s) lsf mask.
+    Returns the shared statistics and the mask of the given ``kind`` (see
+    ``link_masks``), by default the (M, K, N_r, N_s) lsf mask.
     """
     spacing = WL / spacing_factor
     stations = [
@@ -60,7 +67,7 @@ def stats_grid(m_bs=2, k_ue=2, n_h_r=2, n_v_r=2, n_h_s=2, n_v_s=1, spacing_facto
     stats = make_channel_stats(
         build_surface(n_h_r, n_v_r, spacing), build_surface(n_h_s, n_v_s, spacing), WL
     )
-    return stats, link_masks(stations, users)["lsf"]
+    return stats, link_masks(stations, users)[kind]
 
 
 def full_power(n_s, budget=0.2):
@@ -81,6 +88,19 @@ def power_gram(p: PowerAllocation) -> np.ndarray:
 def second_moment(cov, n_r, n_s):
     """E{G^H G} from the covariance of vec(G)."""
     return np.einsum("apai->ip", cov.reshape((n_r, n_s, n_r, n_s), order="F"))
+
+
+def masked_covariance(corr: np.ndarray, b) -> np.ndarray:
+    """Covariance of the vectorized full channel B * H of one link.
+
+    ``b`` is the link's mask: a scalar beta or the (N_r, N_s) matrix of
+    per-antenna-pair coefficients.  A scalar is squared on its own with
+    ``**`` (C ``pow``), which can differ from ``b * b`` in the last bit.
+    """
+    if np.ndim(b) == 0:
+        return (b**2) * corr
+    vec_b = b.reshape(-1, order="F")
+    return corr * np.outer(vec_b, vec_b)
 
 
 def grid_moments(stats, mask, powers):
@@ -423,6 +443,122 @@ class TestMaskedCovariance:
         stats, _ = stats_grid(1, 1)
         expected = (float(b) ** 2) * stats.corr
         assert masked_covariance(stats.corr, np.float64(b)).tobytes() == expected.tobytes()
+        # the closed form squares it the same way
+        z_sum, _ = _mr_moments(stats, np.array([[b]]), [full_power(stats.n_s)])
+        z_ref = second_moment(expected, stats.n_r, stats.n_s)
+        assert z_sum[0].tobytes() == z_ref.tobytes()
+
+
+class TestThreadedClosedForm:
+    """``_mr_moments`` spreads a station's users over threads from THREAD_MIN_DIM up."""
+
+    # 9 x 9 receive and 3 x 3 user surfaces: N_r * N_s = 729, as at --preset full
+    WIDE = dict(m_bs=2, k_ue=3, n_h_r=9, n_v_r=9, n_h_s=3, n_v_s=3)
+
+    @staticmethod
+    def count_pools(monkeypatch, workers):
+        """Force ``workers`` threads and record every pool's size."""
+        sizes = []
+
+        class CountingPool(se.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(se, "_worker_count", lambda n_ue: min(workers, n_ue))
+        monkeypatch.setattr(se, "ThreadPoolExecutor", CountingPool)
+        return sizes
+
+    def test_worker_count_within_cores_and_users(self):
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count() or 1
+        for n_ue in (1, 2, 3, 6, 64):
+            assert 1 <= _worker_count(n_ue) <= min(cores, n_ue)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["lsf", "beta"])
+    def test_threaded_bitwise_equal_to_grid_reference(self, monkeypatch, workers, kind):
+        stats, mask = stats_grid(**self.WIDE, kind=kind)
+        assert stats.n_r * stats.n_s >= THREAD_MIN_DIM
+        powers = [full_power(stats.n_s, budget) for budget in (0.2, 0.1, 0.05)]
+        sizes = self.count_pools(monkeypatch, workers)
+        for moment, reference in zip(
+            _mr_moments(stats, mask, powers), grid_moments(stats, mask, powers)
+        ):
+            assert moment.tobytes() == reference.tobytes()
+        per_ue = se_closed_form_mr(stats, mask, powers, NOISE).per_ue
+        assert per_ue.tobytes() == grid_closed_form(stats, mask, powers, NOISE).tobytes()
+        assert sizes == [workers, workers]
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # every worker writes its own users' covariances, weights and sums;
+        # a lost or crossed update would break bit-equality with the grid
+        stats, mask = stats_grid(3, 6, n_h_r=8, n_v_r=6, n_h_s=4, n_v_s=1)
+        assert stats.n_r * stats.n_s == THREAD_MIN_DIM
+        powers = [full_power(stats.n_s, 0.2 / (1 + k)) for k in range(6)]
+        reference = grid_moments(stats, mask, powers)
+        sizes = self.count_pools(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                for moment, ref in zip(_mr_moments(stats, mask, powers), reference):
+                    assert moment.tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [6, 6, 6]
+
+    @pytest.mark.parametrize("geometry", ["desk", "trend"])
+    @pytest.mark.parametrize("lsf_mode", ["lsf", "beta"])
+    def test_desk_and_trend_stay_serial(self, monkeypatch, geometry, lsf_mode):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool built below THREAD_MIN_DIM")
+
+        # plenty of cores, so only the size threshold keeps these serial
+        monkeypatch.setattr(se, "_worker_count", lambda n_ue: n_ue)
+        monkeypatch.setattr(se, "ThreadPoolExecutor", no_pool)
+        geo = TestMonteCarloMemory.TREND_GEOMETRY if geometry == "trend" else {}
+        cfg = make_config({**geo, "lsf_mode": lsf_mode})
+        env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
+        env.reset()
+        assert env.channel_stats.n_r * env.n_s < THREAD_MIN_DIM
+        powers = [full_power(env.n_s, cfg.p_max) for _ in range(cfg.k_ue)]
+        se_closed_form_mr(env.channel_stats, env.stats_grid(), powers, cfg.noise_power)
+
+    def test_workers_call_no_public_se_function(self, monkeypatch):
+        # perfbench's tracer wraps every public function with one span stack
+        # that is not thread-safe; worker threads must stay below that API
+        off_main = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, obj in list(vars(se).items()):
+            if callable(obj) and not name.startswith("_") and getattr(
+                obj, "__module__", ""
+            ).startswith("xlmimo"):
+                monkeypatch.setattr(se, name, spy(name, obj))
+        worker_einsums = []
+        einsum = np.einsum
+
+        def einsum_spy(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                worker_einsums.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", einsum_spy)
+        self.count_pools(monkeypatch, 2)
+        stats, mask = stats_grid(**self.WIDE)
+        powers = [full_power(stats.n_s) for _ in range(3)]
+        se.se_closed_form_mr(stats, mask, powers, NOISE)
+        assert worker_einsums, "no contraction ran on a worker thread"
+        assert off_main == []
 
 
 class TestClosedFormSe:
