@@ -49,9 +49,10 @@ MC_SLICE = 128
 
 # N_r * N_s from which the closed form spreads a station's users over
 # threads (_mr_moments).  Measured crossover, M = 9 stations, K = 6 users,
-# 2 cores, numpy 2.4.6, one BLAS thread, best of 5: two threads take
-# 1.3-1.4x the serial time at N_r * N_s = 96, break even at 128-160, and
-# run 1.4-1.7x faster at 192 and 1.7-1.8x at 729 (the full preset)
+# 2 cores (the caller with 4 users, one pool thread with 2), numpy 2.4.6,
+# one BLAS thread, best of 5: two threads take 1.2-1.25x the serial time at
+# N_r * N_s = 96, run 1.1-1.3x faster at 128-160, 1.35-1.4x at 192 and
+# 1.5x at 729 (the full preset)
 THREAD_MIN_DIM = 192
 
 
@@ -136,6 +137,18 @@ def _worker_count(n_ue: int) -> int:
     return max(1, min(cores, n_ue))
 
 
+def _user_shares(n_ue: int, n_workers: int) -> list[range]:
+    """Consecutive users per thread, the calling thread's share first and about twice as large.
+
+    The cores of a shared host drift in speed independently.  With equal
+    shares every round waits for the slowest core; with this split a round
+    lasts as long as the calling thread's share unless a pool thread's core
+    runs at under half the speed of the caller's.
+    """
+    cuts = [0] + [n_ue * (w + 1) // (n_workers + 1) for w in range(1, n_workers + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     """Every user's second and fourth Gaussian moments, one station at a time.
 
@@ -149,12 +162,13 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     Station m's work runs in two rounds split by user: every user l's masked
     covariance and weight W_ml, then every user k's Z_mk and interference
     terms, added over l in order.  From ``THREAD_MIN_DIM`` up the users are
-    spread over ``_worker_count`` threads (numpy releases the GIL inside
-    both kinds of operation); below it, or on one core, the same per-user
-    functions run in turn on the calling thread.  Either way every
-    accumulator receives the same sums in the same order, so the result is
-    the serial one to the last bit.  The K covariance buffers, and one mask
-    scratch per thread, are allocated here once and reused by every station.
+    spread over ``_worker_count`` threads, the calling thread and a pool of
+    one fewer, in the shares of ``_user_shares`` (numpy releases the GIL
+    inside both kinds of operation); below it, or on one core, the calling
+    thread runs every user alone.  Either way every accumulator receives
+    the same sums in the same order, so the result is the serial one to the
+    last bit.  The K covariance buffers, and one mask scratch per thread,
+    are allocated here once and reused by every station.
     """
     n_bs, n_ue = mask.shape[:2]
     n_r, n_s = stats.n_r, stats.n_s
@@ -174,7 +188,7 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     r4 = [c.reshape((n_r, n_s, n_r, n_s), order="F") for c in cov]
     scratch = np.empty((n_workers, dim, dim)) if mask.ndim == 4 else None
     weights = [None] * n_ue
-    users = [range(w, n_ue, n_workers) for w in range(n_workers)]
+    users = _user_shares(n_ue, n_workers)
 
     def build(w, row):
         for l in users[w]:
@@ -194,13 +208,20 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
             for weight in weights:
                 interference[k] += np.einsum("bjai,ab->ij", r4[k], weight)
 
-    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        workers = range(n_workers)
+    with ThreadPoolExecutor(n_workers - 1) if n_workers > 1 else nullcontext() as pool:
+
+        def each_worker(fn, arg):
+            # the calling thread takes share 0 itself: n_workers threads
+            # run, never one more than there are cores
+            futures = [pool.submit(fn, w, arg) for w in range(1, n_workers)]
+            fn(0, arg)
+            for f in futures:
+                f.result()
+
         for m, row in enumerate(mask):
             # every weight of station m before any user's contractions
-            list(run(build, workers, [row] * n_workers))
-            list(run(contract, workers, [m] * n_workers))
+            each_worker(build, row)
+            each_worker(contract, m)
     z_sum = np.array([np.sum(z_k, axis=0) for z_k in z])
     return z_sum, interference
 

@@ -28,6 +28,7 @@ from xlmimo.se import (
     _logdet_se,
     _mc_slice_sums,
     _mr_moments,
+    _user_shares,
     _worker_count,
     draw_channel_grid,
     gaussian_moment_oracle,
@@ -457,7 +458,7 @@ class TestThreadedClosedForm:
 
     @staticmethod
     def count_pools(monkeypatch, workers):
-        """Force ``workers`` threads and record every pool's size."""
+        """Force ``workers`` threads and record every pool's size (one fewer: the caller works)."""
         sizes = []
 
         class CountingPool(se.ThreadPoolExecutor):
@@ -477,6 +478,18 @@ class TestThreadedClosedForm:
         for n_ue in (1, 2, 3, 6, 64):
             assert 1 <= _worker_count(n_ue) <= min(cores, n_ue)
 
+    def test_user_shares_cover_users_in_order_caller_first(self):
+        for n_ue in range(1, 9):
+            for n_workers in range(1, n_ue + 1):
+                shares = _user_shares(n_ue, n_workers)
+                assert len(shares) == n_workers
+                assert [k for share in shares for k in share] == list(range(n_ue))
+                assert all(shares)
+                # the calling thread's share is the largest
+                assert len(shares[0]) == max(map(len, shares))
+        # --preset full on two cores: the caller takes 4 of the 6 users
+        assert _user_shares(6, 2) == [range(0, 4), range(4, 6)]
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("kind", ["lsf", "beta"])
     def test_threaded_bitwise_equal_to_grid_reference(self, monkeypatch, workers, kind):
@@ -490,7 +503,7 @@ class TestThreadedClosedForm:
             assert moment.tobytes() == reference.tobytes()
         per_ue = se_closed_form_mr(stats, mask, powers, NOISE).per_ue
         assert per_ue.tobytes() == grid_closed_form(stats, mask, powers, NOISE).tobytes()
-        assert sizes == [workers, workers]
+        assert sizes == [workers - 1, workers - 1]
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # every worker writes its own users' covariances, weights and sums;
@@ -508,7 +521,7 @@ class TestThreadedClosedForm:
                     assert moment.tobytes() == ref.tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert sizes == [6, 6, 6]
+        assert sizes == [5, 5, 5]
 
     @pytest.mark.parametrize("geometry", ["desk", "trend"])
     @pytest.mark.parametrize("lsf_mode", ["lsf", "beta"])
@@ -544,12 +557,14 @@ class TestThreadedClosedForm:
                 obj, "__module__", ""
             ).startswith("xlmimo"):
                 monkeypatch.setattr(se, name, spy(name, obj))
-        worker_einsums = []
+        worker_einsums, main_einsums = [], []
         einsum = np.einsum
 
         def einsum_spy(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 worker_einsums.append(args[0])
+            else:
+                main_einsums.append(args[0])
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(np, "einsum", einsum_spy)
@@ -558,6 +573,7 @@ class TestThreadedClosedForm:
         powers = [full_power(stats.n_s) for _ in range(3)]
         se.se_closed_form_mr(stats, mask, powers, NOISE)
         assert worker_einsums, "no contraction ran on a worker thread"
+        assert main_einsums, "the calling thread took no share"
         assert off_main == []
 
 
