@@ -6,8 +6,9 @@ The grid covers variant x architecture x scenario x lsf_mode x geometry
 lsf modes on a wide-surface geometry whose N_r * N_s is at least
 ``xlmimo.se.THREAD_MIN_DIM``, so that its closed form runs on the thread
 pool.  Each run trains with trajectories and evaluates its checkpoint;
-every (geometry, lsf_mode, power rule) pair is simulated with geometry
-dump; a few seeded sweeps close the list.
+the first run of each geometry evaluates it once more with
+``eval --draws 3``; every (geometry, lsf_mode, power rule) pair is
+simulated with geometry dump; a few seeded sweeps close the list.
 ``timing.json`` is wall-clock data and is skipped; the input configs are
 listed too.
 
@@ -60,6 +61,9 @@ TRAINING = dict(
 SWEEPS = (("seeds", ["0", "1", "2"]), ("spacing_s", ["0.25", "0.5"]),
           ("k_ue", ["1", "3"]), ("n_h_s", ["1", "3"]))
 SIM_DRAWS = 64
+# each geometry's extra eval passes this on the command line over the
+# config's eval_draws (2)
+EVAL_DRAWS = 3
 
 
 def xlmimo(*argv) -> None:
@@ -79,6 +83,7 @@ def produce(root: Path) -> None:
         itertools.product(("desk", "trend"), LSF_MODES, ARCHITECTURES, SCENARIOS, VARIANTS),
         itertools.product(("wide",), LSF_MODES, ARCHITECTURES, ("dynamic",), ("mimo-maddpg",)),
     )
+    seen = set()
     for i, (geo, lsf, arch, scenario, variant) in enumerate(grid):
         run = root / "runs" / f"{i:03d}-{geo}-{lsf}-{arch}-{scenario}-{variant}"
         run.mkdir(parents=True)
@@ -87,9 +92,13 @@ def produce(root: Path) -> None:
             "scenario": scenario, "variant": variant, "seed": i,
             "weight_sharing": i % 3 == 0,
         })
+        checkpoint = run / "train" / "checkpoint.json"
         xlmimo("train", "--config", cfg, "--out", run / "train", "--trajectories")
-        xlmimo("eval", "--config", cfg, "--checkpoint", run / "train" / "checkpoint.json",
-               "--out", run / "eval")
+        xlmimo("eval", "--config", cfg, "--checkpoint", checkpoint, "--out", run / "eval")
+        if geo not in seen:
+            seen.add(geo)
+            xlmimo("eval", "--config", cfg, "--checkpoint", checkpoint,
+                   "--out", run / f"eval-draws{EVAL_DRAWS}", "--draws", EVAL_DRAWS)
     for geo, lsf, rule in itertools.product(GEOMETRIES, LSF_MODES, ("uniform", "fractional")):
         name = f"{geo}-{lsf}-{rule}"
         cfg = write_config(root / f"simulate-{name}.json",

@@ -9,13 +9,11 @@ rewards are shared back up in equal per-antenna fractions.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .env import CellFreeEnv
 from .marl.trainer import MarlCore, Trainer, TrainerSettings
-from .se import PowerAllocation
+from .se import uniform_amplitudes
 
 __all__ = [
     "broadcast_budget",
@@ -39,27 +37,22 @@ def split_reward(layer1_rewards, n_s: int) -> np.ndarray:
     return np.repeat(rewards / n_s, n_s)
 
 
-def layer2_allocate(normalized_actions, budgets, n_s: int) -> list[PowerAllocation]:
-    """Turn per-antenna weights into allocations that use each full budget.
+def layer2_allocate(normalized_actions, budgets, n_s: int) -> np.ndarray:
+    """Turn per-antenna weights into (K, N_s) amplitudes that use each full budget.
 
     ``normalized_actions`` holds one weight in [0, 1] per antenna (user-major
-    order).  Weights are rescaled so every user's radiated power equals its
-    budget; an all-zero weight vector falls back to the uniform split.
+    order).  Each user's weights are rescaled so its radiated power equals
+    its budget; an all-zero weight row falls back to the uniform split.
     """
     weights = np.asarray(normalized_actions, dtype=float).reshape(-1)
     budgets = np.asarray(budgets, dtype=float)
     if weights.shape[0] != budgets.shape[0] * n_s:
         raise ValueError("one weight per user antenna required")
-    allocs = []
-    for k, budget in enumerate(budgets):
-        w = weights[k * n_s : (k + 1) * n_s]
-        norm_sq = float(np.sum(w**2))
-        if norm_sq == 0.0:
-            amps = np.full(n_s, math.sqrt(budget / n_s))
-        else:
-            amps = w * math.sqrt(budget / norm_sq)
-        allocs.append(PowerAllocation(amps, float(budget)))
-    return allocs
+    weights = weights.reshape(-1, n_s)
+    norm_sq = np.sum(weights**2, axis=1)
+    zero = norm_sq == 0.0
+    scale = np.sqrt(np.divide(budgets, norm_sq, out=np.zeros_like(norm_sq), where=~zero))
+    return np.where(zero[:, None], uniform_amplitudes(budgets, n_s), weights * scale[:, None])
 
 
 class DoubleLayerTrainer(Trainer):
@@ -101,12 +94,9 @@ class DoubleLayerTrainer(Trainer):
         bud = broadcast_budget(budgets, env.n_s) / env.params.p_max
         return np.column_stack([lsf.reshape(-1), bud])
 
-    def _budgets_from_raw(self, raw1) -> np.ndarray:
-        return np.clip(raw1[:, 0], 0.0, self.env.params.p_max)
-
     def _layer2(self, raw1, env, noise_std):
-        """Layer-2 states, raw actions and allocations under the layer-1 budgets."""
-        budgets = self._budgets_from_raw(raw1)
+        """Layer-2 states, raw actions and amplitudes under the layer-1 budgets."""
+        budgets = env.budgets(raw1)
         s2 = self._layer2_states(budgets, env)
         raw2 = self.core2.act(s2, noise_std)
         return s2, raw2, layer2_allocate(raw2[:, 0], budgets, env.n_s)
@@ -114,15 +104,15 @@ class DoubleLayerTrainer(Trainer):
     # -- per-step hooks -----------------------------------------------------------
     def _choose(self, obs, noise_std, env):
         raw1 = self.core.act(obs, noise_std)
-        s2, raw2, allocations = self._layer2(raw1, env, noise_std)
-        return raw1, allocations, {"s2": s2, "raw2": raw2}
+        s2, raw2, amplitudes = self._layer2(raw1, env, noise_std)
+        return raw1, amplitudes, {"s2": s2, "raw2": raw2}
 
     def _store(self, obs, raw1, rewards, next_obs, extras):
         self.core.record(obs, raw1, rewards, next_obs)
         self.core.refresh_and_fill()
         # next layer-2 state pairs the post-move fading with the budgets the
         # current user policy would pick at the next observation
-        next_budgets = self._budgets_from_raw(self.core.greedy(next_obs))
+        next_budgets = self.env.budgets(self.core.greedy(next_obs))
         s2_next = self._layer2_states(next_budgets, self.env)
         r2 = split_reward(rewards, self.env.n_s)
         self.core2.record(extras["s2"], extras["raw2"], r2, s2_next)

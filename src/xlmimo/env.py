@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import build_surface, fresnel_beta, lsf_matrix, make_channel_stats
-from .se import PowerAllocation, se_closed_form_mr
+from .se import se_closed_form_mr, uniform_amplitudes
 
 __all__ = [
     "MdpTuple",
@@ -27,7 +27,6 @@ __all__ = [
     "EnvParams",
     "CellFreeEnv",
     "predictive_limit",
-    "project_power",
     "wrap_coords",
     "torus_delta",
     "torus_distance",
@@ -114,21 +113,6 @@ def torus_delta(a: np.ndarray, b: np.ndarray, area: float) -> np.ndarray:
 
 def torus_distance(a, b, area: float) -> float:
     return float(np.linalg.norm(torus_delta(a, b, area)))
-
-
-def project_power(raw, budget: float) -> PowerAllocation:
-    """Scale per-antenna amplitudes uniformly onto the power budget.
-
-    Feasible allocations pass through unchanged; infeasible ones are shrunk
-    so the radiated power equals the budget exactly.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if np.any(raw < 0):
-        raise ValueError("per-antenna amplitudes must be nonnegative")
-    total = float(np.sum(raw**2))
-    if total > budget:
-        raw = raw * math.sqrt(budget / total)
-    return PowerAllocation(raw, budget)
 
 
 def predictive_limit(rewards_sum: float, step: float, thresholds: MdpTuple) -> float:
@@ -302,25 +286,23 @@ class CellFreeEnv:
         pair_mask = dict(zip(LSF_MODES, (self._pair_beta, self._pair_lsf)))[p.lsf_mode]
         return np.array([[pair_mask(m, k) for k in range(p.k_ue)] for m in range(p.m_bs)])
 
-    def allocations_from_actions(self, actions: np.ndarray) -> list:
-        """Uniform per-antenna split of each user's power budget (column 0)."""
-        allocs = []
-        for power in actions[:, 0].tolist():
-            budget = min(max(power, 0.0), self.params.p_max)
-            raw = np.full(self.n_s, math.sqrt(budget / self.n_s))
-            allocs.append(project_power(raw, budget))
-        return allocs
+    def budgets(self, actions) -> np.ndarray:
+        """Each user's power budget: action column 0 clipped to [0, p_max]."""
+        return np.clip(np.asarray(actions, dtype=float)[:, 0], 0.0, self.params.p_max)
 
-    def step(self, actions, allocations=None):
+    def step(self, actions, amplitudes=None):
         """Advance one slot: rewards at the current positions, then movement.
 
         ``actions`` is a (K, len(action_ranges)) array, one row per user in
-        ``action_ranges`` column order.  Returns (observation, rewards,
-        info).  Rewards are the per-user closed-form SE under the induced
-        (or supplied) power allocations; in the mobile scenarios users then
-        move by (step*cos(angle), step*sin(angle)) with the predictive rule
-        rescaling steps in ``pm-dynamic``.  ``info`` carries each
-        allocation's ``power_trace`` and ``budgets`` and the post-move
+        ``action_ranges`` column order; ``budgets(actions)`` are the users'
+        power budgets.  ``amplitudes`` is the (K, N_s) per-antenna split of
+        those budgets; without it each budget is split uniformly, and a row
+        whose rounded power exceeds its budget is scaled back onto it.
+        Returns (observation, rewards, info).  Rewards are the per-user
+        closed-form SE under the amplitudes; in the mobile scenarios users
+        then move by (step*cos(angle), step*sin(angle)) with the predictive
+        rule rescaling steps in ``pm-dynamic``.  ``info`` carries each user's
+        radiated ``power_trace`` and its ``budgets`` and the post-move
         ``positions``.
         """
         if self.world is None:
@@ -332,14 +314,28 @@ class CellFreeEnv:
             raise ValueError(f"actions must have shape {shape}, got {actions.shape}")
         if not np.isfinite(actions).all():
             raise ValueError("action components must be finite")
-        if allocations is None:
-            allocations = self.allocations_from_actions(actions)
-        for alloc in allocations:
-            if alloc.trace > alloc.budget + 1e-12 or alloc.budget > p.p_max + 1e-12:
-                raise ValueError("allocation violates the power constraint")
+        budgets = self.budgets(actions)
+        if amplitudes is None:
+            amplitudes = uniform_amplitudes(budgets, self.n_s)
+            # the rounded split can radiate an ulp more than its budget
+            power = np.sum(amplitudes**2, axis=1)
+            over = power > budgets
+            scale = np.sqrt(np.divide(budgets, power, out=np.ones_like(power), where=over))
+            amplitudes = amplitudes * scale[:, None]
+        else:
+            amplitudes = np.asarray(amplitudes, dtype=float)
+            if amplitudes.shape != (p.k_ue, self.n_s):
+                raise ValueError(
+                    f"amplitudes must have shape {(p.k_ue, self.n_s)}, got {amplitudes.shape}"
+                )
+            if not np.isfinite(amplitudes).all() or np.any(amplitudes < 0):
+                raise ValueError("amplitudes must be finite and nonnegative")
+        power = np.sum(amplitudes**2, axis=1)
+        if np.any(power > budgets + 1e-12):
+            raise ValueError("amplitudes violate the power budgets")
         rewards = se_closed_form_mr(
-            self.channel_stats, self.stats_grid(), allocations, p.noise_power
-        ).per_ue
+            self.channel_stats, self.stats_grid(), amplitudes, p.noise_power
+        )
         if p.scenario != "static":
             team = float(rewards.sum())
             ue = self.world.ue_positions.copy()
@@ -351,8 +347,8 @@ class CellFreeEnv:
                 ue[k, 1] += step_len * math.sin(angle)
             self.world.ue_positions = wrap_coords(ue, p.area)
         info = {
-            "power_trace": [alloc.trace for alloc in allocations],
-            "budgets": [alloc.budget for alloc in allocations],
+            "power_trace": power.tolist(),
+            "budgets": budgets.tolist(),
             "positions": self.world.ue_positions.copy(),
         }
         return self.agent_observation(), rewards, info

@@ -11,7 +11,6 @@ from .run import (
     build_trainer,
     detect_convergence,
     evaluate_greedy,
-    fractional_allocations,
     fractional_baseline,
     run_experiment,
     sweep,
@@ -28,7 +27,6 @@ __all__ = [
     "build_trainer",
     "detect_convergence",
     "evaluate_greedy",
-    "fractional_allocations",
     "fractional_baseline",
     "run_experiment",
     "sweep",

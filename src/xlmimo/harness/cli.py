@@ -8,9 +8,7 @@ errors, 3 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,16 +16,10 @@ import numpy as np
 
 from ..channel import wavenumber_lattice
 from ..env import CellFreeEnv
-from ..se import PowerAllocation, se_closed_form_mr, se_monte_carlo
+from ..se import se_closed_form_mr, se_monte_carlo, uniform_amplitudes
 from ..seeding import stream
 from .config import ConfigError, PRESETS, dump_config, load_config, make_config
-from .run import (
-    build_trainer,
-    evaluate_greedy,
-    fractional_allocations,
-    run_experiment,
-    sweep,
-)
+from .run import build_trainer, evaluate_greedy, fractional_baseline, run_experiment, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,38 +61,36 @@ def cmd_dump_config(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
+    if args.draws < 1:
+        raise ConfigError(f"--draws: must be a positive integer, got {args.draws!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
     env.reset()
     betas = env.observe_layer1()
     if args.power_rule == "fractional":
-        allocations = fractional_allocations(
-            betas, cfg.fractional_exponent, cfg.p_max, env.n_s
-        )
+        budgets = fractional_baseline(betas, cfg.fractional_exponent, cfg.p_max)
     else:
-        allocations = [
-            PowerAllocation(np.full(env.n_s, math.sqrt(cfg.p_max / env.n_s)), cfg.p_max)
-            for _ in range(cfg.k_ue)
-        ]
+        budgets = np.full(cfg.k_ue, cfg.p_max)
+    amplitudes = uniform_amplitudes(budgets, env.n_s)
     mask = env.stats_grid()
-    closed = se_closed_form_mr(env.channel_stats, mask, allocations, cfg.noise_power)
+    closed = se_closed_form_mr(env.channel_stats, mask, amplitudes, cfg.noise_power)
     mc = se_monte_carlo(
         env.channel_stats,
         mask,
-        allocations,
+        amplitudes,
         cfg.noise_power,
         n_draws=args.draws,
         rng=stream(cfg.seed, "mc"),
     )
     result = {
         "power_rule": args.power_rule,
-        "budgets": [a.budget for a in allocations],
+        "budgets": budgets.tolist(),
         "betas": [float(b) for b in betas],
-        "se_closed_form": {"per_ue": closed.per_ue.tolist(), "sum": closed.sum_se},
+        "se_closed_form": {"per_ue": closed.tolist(), "sum": float(closed.sum())},
         "se_monte_carlo": {
-            "per_ue": mc.per_ue.tolist(),
-            "sum": mc.sum_se,
+            "per_ue": mc.tolist(),
+            "sum": float(mc.sum()),
             "draws": args.draws,
         },
     }
@@ -145,8 +135,8 @@ def cmd_simulate(args) -> int:
             json.dumps(geometry, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     sys.stdout.write(
-        f"sum SE closed-form {closed.sum_se:.6g} bits/s/Hz, "
-        f"Monte-Carlo {mc.sum_se:.6g} bits/s/Hz ({args.draws} draws)\n"
+        f"sum SE closed-form {closed.sum():.6g} bits/s/Hz, "
+        f"Monte-Carlo {mc.sum():.6g} bits/s/Hz ({args.draws} draws)\n"
     )
     return EXIT_OK
 
@@ -165,7 +155,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, None if args.draws is None else {"eval_draws": args.draws})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -174,14 +164,13 @@ def cmd_eval(args) -> int:
         raise RuntimeError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
     env, trainer = build_trainer(cfg)
     trainer.load_state_dict(state)
-    cfg_eval = cfg if args.draws is None else dataclasses.replace(cfg, eval_draws=args.draws)
-    result = evaluate_greedy(trainer, cfg_eval, round_key=-1)
+    result = evaluate_greedy(trainer, cfg, round_key=-1)
     (out / "eval.json").write_text(
         json.dumps(result, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     sys.stdout.write(
         f"greedy sum SE {result['mean']:.6g} +/- {result['std']:.3g} bits/s/Hz "
-        f"over {cfg_eval.eval_draws} draws\n"
+        f"over {cfg.eval_draws} draws\n"
     )
     return EXIT_OK
 

@@ -19,13 +19,11 @@ import numpy as np
 from ..dlpc import DoubleLayerTrainer
 from ..env import CellFreeEnv
 from ..marl.trainer import Trainer
-from ..se import PowerAllocation
 from ..seeding import stream
 from .config import ConfigError, ExperimentConfig, config_hash, dump_config
 
 __all__ = [
     "fractional_baseline",
-    "fractional_allocations",
     "detect_convergence",
     "build_trainer",
     "evaluate_greedy",
@@ -76,14 +74,6 @@ def fractional_baseline(betas, exponent: float = 0.5, p_max: float = 0.2) -> np.
         raise ValueError("betas must be positive")
     weights = betas ** (-exponent)
     return p_max * weights / weights.max()
-
-
-def fractional_allocations(betas, exponent: float, p_max: float, n_s: int):
-    """Fractional budgets with the uniform per-antenna split."""
-    budgets = fractional_baseline(betas, exponent, p_max)
-    return [
-        PowerAllocation(np.full(n_s, np.sqrt(b / n_s)), float(b)) for b in budgets
-    ]
 
 
 def detect_convergence(series, n_conv: int, delta_conv: float):

@@ -471,10 +471,10 @@ class Trainer:
     Handles the single-layer architecture; the double-layer trainer extends
     the per-step hooks.  ``env`` needs ``reset``, ``step``, ``n_agents``,
     ``state_dim`` and ``action_ranges``; ``step`` receives the actors' raw
-    action rows, one per agent, in ``action_ranges`` column order.  The
-    episode metrics copy ``power_trace``, ``budgets`` and ``positions`` from
-    ``step``'s ``info`` when it has them (``trajectory.jsonl`` is built from
-    them) and log empty traces otherwise.
+    action rows, one per agent, in ``action_ranges`` column order, and the
+    amplitudes ``_choose`` picked (None in this architecture).  The episode
+    metrics copy ``power_trace``, ``budgets`` and ``positions`` from
+    ``step``'s ``info`` (``trajectory.jsonl`` is built from them).
     """
 
     def __init__(self, env, settings: TrainerSettings, variant, master_seed: int,
@@ -529,8 +529,8 @@ class Trainer:
         }
         for _ in range(self.cfg.steps):
             noise = self.noise_std()
-            raw, allocations, extras = self._choose(obs, noise, self.env)
-            next_obs, rewards, info = self.env.step(raw, allocations=allocations)
+            raw, amplitudes, extras = self._choose(obs, noise, self.env)
+            next_obs, rewards, info = self.env.step(raw, amplitudes=amplitudes)
             self._store(obs, raw, rewards, next_obs, extras)
             losses = self._update()
             obs = next_obs
@@ -538,9 +538,9 @@ class Trainer:
             metrics["rewards"].append(np.asarray(rewards, dtype=float))
             metrics["sum_se"].append(float(np.sum(rewards)))
             metrics["actions"].append(raw.copy())
-            metrics["power_trace"].append(info.get("power_trace", []))
-            metrics["budgets"].append(info.get("budgets", []))
-            metrics["positions"].append(info.get("positions"))
+            metrics["power_trace"].append(info["power_trace"])
+            metrics["budgets"].append(info["budgets"])
+            metrics["positions"].append(info["positions"])
             metrics["losses"].append(losses)
             prs = self.core.replay.priorities[0, : len(self.core.replay)]
             metrics["priority_stats"].append(
@@ -554,8 +554,8 @@ class Trainer:
         rewards_trace = []
         sum_trace = []
         for _ in range(self.cfg.steps):
-            raw, allocations, _ = self._choose(obs, 0.0, env)
-            obs, rewards, _ = env.step(raw, allocations=allocations)
+            raw, amplitudes, _ = self._choose(obs, 0.0, env)
+            obs, rewards, _ = env.step(raw, amplitudes=amplitudes)
             rewards_trace.append(np.asarray(rewards, dtype=float))
             sum_trace.append(float(np.sum(rewards)))
         return {"rewards": rewards_trace, "sum_se": sum_trace}

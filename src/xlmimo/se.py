@@ -1,8 +1,12 @@
 """Uplink transmission model and spectral-efficiency evaluation.
 
 Every user transmits simultaneously through a diagonal per-antenna amplitude
-matrix; each base station applies maximum-ratio combining and the central
-unit averages the local estimates.  Spectral efficiency comes in two
+matrix, so one power allocation for all K users is a (K, N_s) array of
+nonnegative amplitudes: row k is the diagonal of user k's transmit matrix
+and its squared sum is the power user k radiates.  Each base station
+applies maximum-ratio combining and the central unit averages the local
+estimates; both evaluators below take the (K, N_s) amplitudes and return
+the (K,) per-user SE in bits/s/Hz.  Spectral efficiency comes in two
 flavours that must agree: a Monte-Carlo estimate of the achievable-rate
 bound over channel draws, and a closed form for maximum-ratio combining
 whose second and fourth Gaussian moments are evaluated analytically from
@@ -26,18 +30,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelStats, sample_ssf_batch
 
 __all__ = [
-    "PowerAllocation",
-    "SeReport",
+    "uniform_amplitudes",
     "se_monte_carlo",
     "se_closed_form_mr",
-    "gaussian_moment_oracle",
     "draw_channel_grid",
 ]
 
@@ -56,43 +57,19 @@ MC_SLICE = 128
 THREAD_MIN_DIM = 192
 
 
-@dataclass
-class PowerAllocation:
-    """Diagonal per-antenna transmit amplitudes under a total power budget.
-
-    The transmit matrix is diag(amplitudes); its squared Frobenius norm
-    (the radiated power) may not exceed ``budget`` watts.  Products with
-    it are column broadcasts: X diag(a) = X * a.
-    """
-
-    amplitudes: np.ndarray
-    budget: float
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float)
-        if np.any(self.amplitudes < 0):
-            raise ValueError("amplitudes must be nonnegative")
-        if self.trace > self.budget + 1e-12:
-            raise ValueError(
-                f"power {self.trace:.6g} W exceeds the budget {self.budget:.6g} W"
-            )
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.amplitudes**2))
+def uniform_amplitudes(budgets, n_s: int) -> np.ndarray:
+    """The uniform split of each budget over n_s antennas, (K, N_s): sqrt(b / N_s)."""
+    per_antenna = np.sqrt(np.asarray(budgets, dtype=float) / n_s)
+    return np.repeat(per_antenna[:, None], n_s, axis=1)
 
 
-@dataclass(frozen=True)
-class SeReport:
-    """Per-user and summed spectral efficiency in bits/s/Hz."""
-
-    per_ue: np.ndarray
-    sum_se: float = field(init=False)
-
-    def __post_init__(self):
-        per_ue = np.asarray(self.per_ue, dtype=float)
-        object.__setattr__(self, "per_ue", per_ue)
-        object.__setattr__(self, "sum_se", float(per_ue.sum()))
+def _checked_amplitudes(stats: ChannelStats, mask: np.ndarray, amplitudes) -> np.ndarray:
+    """``amplitudes`` as a float array; ValueError unless it is (K, N_s) for the mask and stats."""
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    shape = (mask.shape[1], stats.n_s)
+    if amplitudes.shape != shape:
+        raise ValueError(f"amplitudes must have shape (K, N_s) = {shape}, got {amplitudes.shape}")
+    return amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +81,7 @@ class SeReport:
 # ---------------------------------------------------------------------------
 
 
-def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> float:
+def _logdet_se(e_mat: np.ndarray, psi: np.ndarray) -> float:
     # ridge is relative to the matrix scale; an absolute one would dwarf
     # desk-scale interference powers (~1e-22 W)
     n_s = e_mat.shape[1]
@@ -113,7 +90,7 @@ def _logdet_se(e_mat: np.ndarray, psi: np.ndarray, rel_ridge: float = RIDGE) -> 
             "interference-plus-noise matrix or signal moment is not finite"
         )
     scale = float(np.real(np.trace(psi))) / n_s
-    ridge = rel_ridge * scale if scale > 0 else rel_ridge
+    ridge = RIDGE * scale if scale > 0 else RIDGE
     psi_reg = psi + ridge * np.eye(n_s)
     try:
         x = np.linalg.solve(psi_reg, e_mat)
@@ -149,7 +126,7 @@ def _user_shares(n_ue: int, n_workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
+def _mr_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
     """Every user's second and fourth Gaussian moments, one station at a time.
 
     Returns (z_sum, interference), each of shape (K, N_s, N_s):
@@ -175,7 +152,7 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     dim = n_r * n_s
     corr = stats.corr
     # P P^H as dense diagonals
-    pbar = [np.diag(p.amplitudes.astype(complex) ** 2) for p in powers]
+    pbar = [np.diag(a.astype(complex) ** 2) for a in amplitudes]
     z = np.empty((n_ue, n_bs, n_s, n_s), dtype=complex)
     interference = np.zeros((n_ue, n_s, n_s), dtype=complex)
     n_workers = _worker_count(n_ue) if dim >= THREAD_MIN_DIM else 1
@@ -226,7 +203,7 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, powers):
     return z_sum, interference
 
 
-def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, powers, noise_power) -> SeReport:
+def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, amplitudes, noise_power) -> np.ndarray:
     """Closed-form spectral efficiency under maximum-ratio combining.
 
     ``mask[m, k]`` is the large-scale mask of the link from user k to
@@ -236,14 +213,13 @@ def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, powers, noise_power
     station m's K covariances are built, contracted into every user's
     interference sum (stations outer, users l inner) and freed before the
     next station's, so a call holds one station's links whatever M is.
+    Returns the (K,) per-user SE.
     """
-    n_ue = mask.shape[1]
-    if len(powers) != n_ue:
-        raise ValueError("one PowerAllocation per user required")
-    z_sum, interference = _mr_moments(stats, mask, powers)
-    per_ue = np.zeros(n_ue)
-    for k in range(n_ue):
-        e_mat = z_sum[k] * powers[k].amplitudes
+    amplitudes = _checked_amplitudes(stats, mask, amplitudes)
+    z_sum, interference = _mr_moments(stats, mask, amplitudes)
+    per_ue = np.zeros(len(amplitudes))
+    for k, a_k in enumerate(amplitudes):
+        e_mat = z_sum[k] * a_k
         psi = interference[k] + noise_power * z_sum[k]
         psi = (psi + np.conj(psi.T)) / 2.0
         eigs = np.linalg.eigvalsh(psi)
@@ -253,7 +229,7 @@ def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, powers, noise_power
                 f"(min eigenvalue {eigs.min():.3g})"
             )
         per_ue[k] = _logdet_se(e_mat, psi)
-    return SeReport(per_ue=per_ue)
+    return per_ue
 
 
 def draw_channel_grid(stats: ChannelStats, mask: np.ndarray, n: int, rng: np.random.Generator):
@@ -271,8 +247,8 @@ def _mc_slice_sums(stats: ChannelStats, mask, powers_sq, size: int, rng):
     """One slice's sums over its draws of C_kk and C_kl Pbar_l C_kl^H.
 
     Draws ``size`` realizations of every link with ``draw_channel_grid``.
-    C_kl = sum_m G_mk^H G_ml for one draw; ``powers_sq[l]`` holds user l's
-    per-antenna powers, the diagonal of Pbar_l.  Station m's links stack to
+    C_kl = sum_m G_mk^H G_ml for one draw; row l of ``powers_sq`` holds user
+    l's per-antenna powers, the diagonal of Pbar_l.  Station m's links stack to
     X_m of shape (size, N_r, K*N_s), and sum_m X_m^H X_m, one batched Gram
     per station, holds C_kl as its (k, l) block.  Returns ``a_sum`` of shape
     (K, N_s, N_s) and ``t_sum`` of shape (K, K, N_s, N_s).
@@ -297,93 +273,36 @@ def _mc_slice_sums(stats: ChannelStats, mask, powers_sq, size: int, rng):
 def se_monte_carlo(
     stats: ChannelStats,
     mask: np.ndarray,
-    powers,
+    amplitudes,
     noise_power,
     *,
     n_draws: int,
     rng: np.random.Generator,
-) -> SeReport:
+) -> np.ndarray:
     """Monte-Carlo spectral efficiency under maximum-ratio combining.
 
     The draws come from ``rng`` in slices of ``MC_SLICE``, the last one
     partial.  Each slice is drawn and added to the running sums before the
     next is drawn, so a call holds one slice of every link's channels
-    however many draws it makes.
+    however many draws it makes.  Returns the (K,) per-user SE.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    n_ue = mask.shape[1]
-    if len(powers) != n_ue:
-        raise ValueError("one PowerAllocation per user required")
-    powers_sq = [p.amplitudes**2 for p in powers]
+    amplitudes = _checked_amplitudes(stats, mask, amplitudes)
+    powers_sq = amplitudes**2
     a_hat = t_hat = 0.0
     for lo in range(0, n_draws, MC_SLICE):
         size = min(MC_SLICE, n_draws - lo)
         a_sum, t_sum = _mc_slice_sums(stats, mask, powers_sq, size, rng)
         a_hat += a_sum
         t_hat += t_sum
-    per_ue = np.zeros(n_ue)
-    for k in range(n_ue):
+    per_ue = np.zeros(len(amplitudes))
+    for k, amp_k in enumerate(amplitudes):
         a_k = a_hat[k] / n_draws
-        e_mat = a_k * powers[k].amplitudes
+        e_mat = a_k * amp_k
         psi = t_hat[k].sum(axis=0) / n_draws
         psi = psi - e_mat @ np.conj(e_mat.T) + noise_power * a_k
         psi = (psi + np.conj(psi.T)) / 2.0
         per_ue[k] = _logdet_se(e_mat, psi)
-    return SeReport(per_ue=per_ue)
+    return per_ue
 
-
-def gaussian_moment_oracle(
-    cov: np.ndarray,
-    pbar: np.ndarray,
-    n_r: int,
-    n_s: int,
-    n_draws: int = 100_000,
-    rng: np.random.Generator | None = None,
-):
-    """Brute-force E{G^H G Pbar G^H G} two independent ways.
-
-    Returns (moment_pairings, moment_simulated): the first from the explicit
-    two-pairing expansion of the complex Gaussian fourth moment over all
-    index quadruples, the second from averaging exact Gaussian draws.
-    Guarded to tiny dimensions.
-    """
-    dim = n_r * n_s
-    if cov.shape != (dim, dim):
-        raise ValueError("covariance shape disagrees with n_r * n_s")
-    if dim > 8:
-        raise ValueError("oracle restricted to n_r * n_s <= 8")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    def c(a, i, b, j):
-        # E{ G[a,i] * conj(G[b,j]) }
-        return cov[i * n_r + a, j * n_r + b]
-
-    pairings = np.zeros((n_s, n_s), dtype=complex)
-    for i in range(n_s):
-        for j in range(n_s):
-            acc = 0.0 + 0.0j
-            for a in range(n_r):
-                for b in range(n_r):
-                    for p in range(n_s):
-                        for q in range(n_s):
-                            acc += pbar[p, q] * (
-                                c(a, p, a, i) * c(b, j, b, q)
-                                + c(a, p, b, q) * c(b, j, a, i)
-                            )
-            pairings[i, j] = acc
-
-    # simulation: vec(G) = L w with L L^H = cov, w standard complex normal
-    eigval, eigvec = np.linalg.eigh((cov + np.conj(cov.T)) / 2.0)
-    eigval = np.clip(eigval, 0.0, None)
-    l_fac = eigvec * np.sqrt(eigval)
-    w = (
-        rng.standard_normal((n_draws, dim)) + 1j * rng.standard_normal((n_draws, dim))
-    ) / math.sqrt(2.0)
-    vecs = w @ l_fac.T
-    g = vecs.reshape(n_draws, n_r, n_s, order="F")
-    gram = np.einsum("dab,dac->dbc", np.conj(g), g)
-    x = np.einsum("dbc,cq->dbq", gram, pbar)
-    simulated = np.einsum("dbq,dqe->dbe", x, gram).mean(axis=0)
-    return pairings, simulated

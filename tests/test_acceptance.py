@@ -20,12 +20,7 @@ from xlmimo.harness.run import build_trainer, detect_convergence, evaluate_greed
 from xlmimo.marl.nets import Actor, Mlp, clip_gradients, global_norm, soft_update
 from xlmimo.marl.replay import priority_ranked, priority_simple
 from xlmimo.marl.trainer import Trainer, TrainerSettings, VariantSpec
-from xlmimo.se import (
-    PowerAllocation,
-    gaussian_moment_oracle,
-    se_closed_form_mr,
-    se_monte_carlo,
-)
+from xlmimo.se import se_closed_form_mr, se_monte_carlo, uniform_amplitudes
 from xlmimo.seeding import stream
 
 
@@ -40,8 +35,8 @@ def desk_grid(seed=0):
     return cfg, env, env.stats_grid()
 
 
-def full_power(n_s, budget=0.2):
-    return PowerAllocation(np.full(n_s, math.sqrt(budget / n_s)), budget)
+def full_power(n_ue, n_s, budget=0.2):
+    return uniform_amplitudes(np.full(n_ue, budget), n_s)
 
 
 class TestC01ClosedFormVsMonteCarlo:
@@ -52,7 +47,7 @@ class TestC01ClosedFormVsMonteCarlo:
 
     def test_agreement_on_desk_config(self):
         t0 = time.perf_counter()
-        powers = [full_power(2), full_power(2)]
+        powers = full_power(2, 2)
         worst = 0.0
         for mask in ("beta", "lsf"):
             cfg = make_config({"seed": 42, "lsf_mode": mask})
@@ -67,7 +62,7 @@ class TestC01ClosedFormVsMonteCarlo:
                 env.channel_stats, grid, powers, cfg.noise_power, n_draws=10_000,
                 rng=stream(42, "mc", mask, 1),
             )
-            rel = float(np.max(np.abs(closed.per_ue - mc.per_ue) / mc.per_ue))
+            rel = float(np.max(np.abs(closed - mc) / mc))
             worst = max(worst, rel)
             assert rel <= 0.02, f"mask={mask}: relative error {rel:.4f} > 2%"
         elapsed = time.perf_counter() - t0
@@ -99,6 +94,8 @@ class TestC02CorrelationFidelity:
 
 class TestC03GaussianMomentDualOracle:
     def test_scalar_textbook_moment(self):
+        from tests.test_se import gaussian_moment_oracle
+
         pair, sim = gaussian_moment_oracle(
             np.array([[1.0 + 0j]]), np.array([[1.0]]), 1, 1,
             n_draws=1_000_000, rng=stream(3, "oracle", 0),
@@ -109,6 +106,8 @@ class TestC03GaussianMomentDualOracle:
                f"pairings {pair[0,0].real:.6f}, simulated {sim[0,0].real:.4f}")
 
     def test_all_small_probes(self):
+        from tests.test_se import gaussian_moment_oracle
+
         worst = 0.0
         probe = 0
         for n_r in (1, 2):

@@ -127,6 +127,26 @@ class TestExitCodes:
         assert "scenario 'pm-dynamic'" in err and "scenario 'dynamic'" in err
         assert not (tmp_path / "eval" / "eval.json").exists()
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_eval_bad_draws_is_2(self, tiny_config_path, tmp_path, capsys, draws):
+        assert main(["train", "--config", str(tiny_config_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(tiny_config_path),
+                   "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval"), "--draws", draws])
+        assert rc == 2
+        assert "eval_draws" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_simulate_bad_draws_is_2(self, tiny_config_path, tmp_path, capsys, draws):
+        rc = main(["simulate", "--config", str(tiny_config_path),
+                   "--out", str(tmp_path / "sim"), "--draws", draws])
+        assert rc == 2
+        assert "--draws" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("preset", README_PRESETS)
     def test_dump_config_readme_presets(self, preset, capsys):
         assert main(["dump-config", "--preset", preset]) == 0

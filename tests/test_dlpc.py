@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlmimo.dlpc import DoubleLayerTrainer, broadcast_budget, layer2_allocate, split_reward
 from xlmimo.env import CellFreeEnv, EnvParams
@@ -63,30 +65,92 @@ class TestSplitReward:
         assert out[2] + out[3] == r[1]
 
 
+def loop_layer2_allocate(normalized_actions, budgets, n_s):
+    """Reference for ``layer2_allocate``: one user at a time.
+
+    Returns (amplitudes, power traces), the traces as a list of floats.
+    """
+    weights = np.asarray(normalized_actions, dtype=float).reshape(-1)
+    rows, traces = [], []
+    for k, budget in enumerate(np.asarray(budgets, dtype=float)):
+        w = weights[k * n_s : (k + 1) * n_s]
+        norm_sq = float(np.sum(w**2))
+        if norm_sq == 0.0:
+            amps = np.full(n_s, math.sqrt(budget / n_s))
+        else:
+            amps = w * math.sqrt(budget / norm_sq)
+        rows.append(amps)
+        traces.append(float(np.sum(amps**2)))
+    return np.array(rows).reshape(-1, n_s), traces
+
+
+@st.composite
+def layer2_inputs(draw):
+    """(weights, budgets, n_s): zero-weight users and zero budgets included."""
+    n_s = draw(st.integers(1, 9))
+    k_ue = draw(st.integers(1, 9))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = [
+        [0.0] * n_s if draw(st.booleans()) and draw(st.booleans())
+        else draw(st.lists(weight, min_size=n_s, max_size=n_s))
+        for _ in range(k_ue)
+    ]
+    budgets = draw(st.lists(st.one_of(st.just(0.0), st.just(0.2), st.floats(0.0, 0.2)),
+                            min_size=k_ue, max_size=k_ue))
+    return np.array(rows).reshape(-1), np.array(budgets), n_s
+
+
 class TestLayer2Allocate:
     def test_single_antenna_saturates_budget(self):
-        allocs = layer2_allocate([0.37], [0.08], n_s=1)
-        np.testing.assert_allclose(allocs[0].amplitudes, [math.sqrt(0.08)])
-        assert allocs[0].trace == pytest.approx(0.08)
+        amps = layer2_allocate([0.37], [0.08], n_s=1)
+        np.testing.assert_allclose(amps, [[math.sqrt(0.08)]])
+        assert np.sum(amps**2) == pytest.approx(0.08)
 
     def test_equal_weights_equal_amplitudes(self):
-        allocs = layer2_allocate([0.5, 0.5, 0.2, 0.2], [0.1, 0.05], n_s=2)
-        a0 = allocs[0].amplitudes
-        assert a0[0] == a0[1]
-        assert allocs[0].trace == pytest.approx(0.1)
-        assert allocs[1].trace == pytest.approx(0.05)
+        amps = layer2_allocate([0.5, 0.5, 0.2, 0.2], [0.1, 0.05], n_s=2)
+        assert amps.shape == (2, 2)
+        assert amps[0, 0] == amps[0, 1]
+        np.testing.assert_allclose(np.sum(amps**2, axis=1), [0.1, 0.05])
 
     def test_zero_weights_fall_back_to_uniform(self):
-        allocs = layer2_allocate([0.0, 0.0], [0.1], n_s=2)
-        np.testing.assert_allclose(allocs[0].amplitudes, math.sqrt(0.05))
+        amps = layer2_allocate([0.0, 0.0], [0.1], n_s=2)
+        np.testing.assert_allclose(amps, math.sqrt(0.05))
 
     def test_random_trials_respect_budget(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             w = rng.uniform(0, 1, 4)
             budgets = rng.uniform(1e-6, 0.2, 2)
-            for k, alloc in enumerate(layer2_allocate(w, budgets, n_s=2)):
-                assert alloc.trace <= budgets[k] + 1e-12
+            traces = np.sum(layer2_allocate(w, budgets, n_s=2) ** 2, axis=1)
+            assert np.all(traces <= budgets + 1e-12)
+
+    def test_rejects_weight_count_mismatch(self):
+        with pytest.raises(ValueError, match="one weight per user antenna"):
+            layer2_allocate([0.1, 0.2, 0.3], [0.1, 0.1], n_s=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(layer2_inputs())
+    def test_bitwise_equal_to_user_loop(self, inputs):
+        weights, budgets, n_s = inputs
+        with np.errstate(divide="raise", invalid="raise"):
+            amps = layer2_allocate(weights, budgets, n_s)
+        ref, traces = loop_layer2_allocate(weights, budgets, n_s)
+        assert amps.tobytes() == ref.tobytes()
+        assert np.sum(amps**2, axis=1).tobytes() == np.array(traces).tobytes()
+
+
+class TestBudgetsReachTheEnv:
+    @pytest.mark.parametrize("architecture", ["single", "double"])
+    def test_info_budgets_are_the_env_budget_rule(self, architecture):
+        env = desk_env(36, scenario="dynamic")
+        trainer_cls = DoubleLayerTrainer if architecture == "double" else Trainer
+        t = trainer_cls(env, small_settings(), "mimo-maddpg", 36)
+        obs = env.reset()
+        for _ in range(4):
+            raw, amplitudes, _ = t._choose(obs, 0.2, env)
+            assert (amplitudes is None) == (architecture == "single")
+            obs, _, info = env.step(raw, amplitudes=amplitudes)
+            assert info["budgets"] == env.budgets(raw).tolist()
 
 
 class TestSameMachineryAcrossLayers:

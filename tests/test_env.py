@@ -13,12 +13,12 @@ from xlmimo.env import (
     EnvParams,
     MdpTuple,
     predictive_limit,
-    project_power,
     torus_delta,
     torus_distance,
     wrap_coords,
 )
-from xlmimo.se import se_closed_form_mr
+from xlmimo import env as env_module
+from xlmimo.se import se_closed_form_mr, uniform_amplitudes
 
 
 def make_env(seed=0, **overrides):
@@ -60,32 +60,108 @@ class TestPredictiveLimit:
         assert predictive_limit(0.1, 3.0, t) == pytest.approx(6.0)
 
 
-class TestProjectPower:
-    def test_feasible_boundary_passthrough(self):
-        alloc = project_power([1.0, 1.0], budget=2.0)
-        np.testing.assert_allclose(alloc.amplitudes, [1.0, 1.0])
-        assert alloc.trace == pytest.approx(2.0)
+def loop_step_amplitudes(actions, p_max, n_s):
+    """Reference for ``step``'s budgets and uniform split: one user at a time.
 
-    def test_uniform_rescale(self):
-        alloc = project_power([2.0, 0.0], budget=2.0)
-        np.testing.assert_allclose(alloc.amplitudes, [math.sqrt(2.0), 0.0])
+    Clips each budget with Python's min/max, splits it uniformly with
+    ``math.sqrt`` and scales a row whose rounded power exceeds the budget
+    back onto it.  Returns (amplitudes, power traces, budgets), the traces
+    and budgets as lists of floats.
+    """
+    rows, traces, budgets = [], [], []
+    for power in np.asarray(actions, dtype=float)[:, 0].tolist():
+        budget = min(max(power, 0.0), p_max)
+        raw = np.full(n_s, math.sqrt(budget / n_s))
+        total = float(np.sum(raw**2))
+        if total > budget:
+            raw = raw * math.sqrt(budget / total)
+        rows.append(raw)
+        traces.append(float(np.sum(raw**2)))
+        budgets.append(budget)
+    return np.array(rows), traces, budgets
 
-    def test_zero_stays_zero(self):
-        alloc = project_power([0.0, 0.0], budget=0.5)
-        np.testing.assert_array_equal(alloc.amplitudes, [0.0, 0.0])
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            project_power([-1.0], budget=1.0)
+def step_amplitudes(env, actions, amplitudes=None):
+    """``env.step``'s info plus the amplitudes it passed to the closed form."""
+    seen = []
 
+    def spy(stats, mask, amps, noise_power):
+        seen.append(amps)
+        return np.zeros(len(amps))
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(divide="raise", invalid="raise"):
+        mp.setattr(env_module, "se_closed_form_mr", spy)
+        _, _, info = env.step(actions, amplitudes=amplitudes)
+    return seen[0], info
+
+
+class TestStepAmplitudes:
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        raw=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4),
-        budget=st.floats(min_value=1e-6, max_value=2.0),
+        n_s=st.integers(1, 9),
+        powers=st.lists(
+            st.one_of(st.just(0.0), st.just(0.2), st.floats(-0.05, 0.25)),
+            min_size=1, max_size=9,
+        ),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_projection_always_feasible(self, raw, budget):
-        alloc = project_power(raw, budget)
-        assert alloc.trace <= budget + 1e-12
+    def test_uniform_split_bitwise_equal_to_user_loop(self, n_s, powers):
+        env = make_env(m_bs=1, k_ue=len(powers), n_h_r=1, n_v_r=1, n_h_s=n_s)
+        env.reset()
+        actions = np.array(powers)[:, None]
+        amps, info = step_amplitudes(env, actions)
+        ref, traces, budgets = loop_step_amplitudes(actions, env.params.p_max, n_s)
+        assert amps.tobytes() == ref.tobytes()
+        assert np.array(info["power_trace"]).tobytes() == np.array(traces).tobytes()
+        assert np.array(info["budgets"]).tobytes() == np.array(budgets).tobytes()
+        assert env.budgets(actions).tobytes() == np.array(budgets).tobytes()
+
+    def test_projection_trims_overshooting_split(self):
+        # some budgets' uniform split radiates an ulp more than the budget;
+        # step scales such a row back so its power never exceeds the budget
+        rng = np.random.default_rng(0)
+        budgets = rng.uniform(0.0, 0.2, 200)
+        n_s = 3
+        over = np.sum(uniform_amplitudes(budgets, n_s) ** 2, axis=1) > budgets
+        assert over.any()
+        env = make_env(m_bs=1, k_ue=len(budgets), n_h_r=1, n_v_r=1, n_h_s=n_s)
+        env.reset()
+        amps, info = step_amplitudes(env, budgets[:, None])
+        assert np.all(np.array(info["power_trace"]) <= budgets)
+        assert np.all(amps[over] < uniform_amplitudes(budgets[over], n_s))
+        np.testing.assert_array_equal(amps[~over], uniform_amplitudes(budgets[~over], n_s))
+
+    def test_supplied_amplitudes_pass_unchanged(self):
+        env = make_env(m_bs=1, k_ue=2)
+        env.reset()
+        supplied = np.array([[0.3, 0.0], [0.1, 0.2]])
+        amps, info = step_amplitudes(env, static_actions(env, power=0.2), supplied)
+        assert amps.tobytes() == supplied.tobytes()
+        assert info["power_trace"] == np.sum(supplied**2, axis=1).tolist()
+        assert info["budgets"] == [0.2, 0.2]
+
+    @pytest.mark.parametrize("amplitudes, match", [
+        (np.full((2, 3), 0.1), "shape"),
+        (np.full((3, 2), 0.1), "shape"),
+        (np.full(2, 0.1), "shape"),
+        (np.array([[0.1, -0.1], [0.1, 0.1]]), "nonnegative"),
+        (np.array([[0.1, np.nan], [0.1, 0.1]]), "finite"),
+        (np.array([[0.1, np.inf], [0.1, 0.1]]), "finite"),
+        (np.array([[0.3, 0.3], [0.1, 0.1]]), "budget"),
+    ])
+    def test_rejects_bad_amplitudes(self, amplitudes, match):
+        env = make_env(m_bs=1, k_ue=2)
+        env.reset()
+        assert env.n_s == 2
+        with pytest.raises(ValueError, match=match):
+            env.step(static_actions(env, power=0.1), amplitudes=amplitudes)
+
+    def test_budget_is_the_clipped_action(self):
+        env = make_env(scenario="dynamic", m_bs=1, k_ue=3)
+        env.reset()
+        actions = np.array([[-0.1, 1.0, 0.0], [0.07, 1.0, 0.0], [0.5, 1.0, 0.0]])
+        np.testing.assert_array_equal(env.budgets(actions), [0.0, 0.07, env.params.p_max])
+        _, _, info = env.step(actions)
+        assert info["budgets"] == env.budgets(actions).tolist()
 
 
 class TestTorus:
@@ -201,10 +277,10 @@ class TestStatsGrid:
         )
         beta = env.stats_grid()
         lsf = beta[:, :, None, None] * np.ones((env.n_r, env.n_s))
-        allocs = env.allocations_from_actions(static_actions(env, power=0.15))
-        scalar = se_closed_form_mr(env.channel_stats, beta, allocs, env.params.noise_power)
-        matrix = se_closed_form_mr(env.channel_stats, lsf, allocs, env.params.noise_power)
-        np.testing.assert_allclose(matrix.per_ue, scalar.per_ue, rtol=1e-12, atol=0)
+        amps = uniform_amplitudes(env.budgets(static_actions(env, power=0.15)), env.n_s)
+        scalar = se_closed_form_mr(env.channel_stats, beta, amps, env.params.noise_power)
+        matrix = se_closed_form_mr(env.channel_stats, lsf, amps, env.params.noise_power)
+        np.testing.assert_allclose(matrix, scalar, rtol=1e-12, atol=0)
 
 
 class TestStep:
@@ -230,13 +306,13 @@ class TestStep:
         env = make_env(m_bs=2, k_ue=2)
         env.reset()
         actions = static_actions(env, power=0.12)
-        allocs = env.allocations_from_actions(actions)
+        amps = uniform_amplitudes(env.budgets(actions), env.n_s)
         expected = se_closed_form_mr(
-            env.channel_stats, env.stats_grid(), allocs, env.params.noise_power
+            env.channel_stats, env.stats_grid(), amps, env.params.noise_power
         )
         _, rewards, _ = env.step(actions)
-        assert float(np.sum(rewards)) == pytest.approx(expected.sum_se, abs=1e-12)
-        np.testing.assert_allclose(rewards, expected.per_ue, atol=1e-15)
+        assert float(np.sum(rewards)) == pytest.approx(expected.sum(), abs=1e-12)
+        np.testing.assert_allclose(rewards, expected, atol=1e-15)
 
     def test_z_invariant_and_wrap(self):
         env = make_env(scenario="dynamic", m_bs=1, k_ue=1)

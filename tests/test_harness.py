@@ -14,11 +14,11 @@ from xlmimo.harness.config import (
 )
 from xlmimo.harness.run import (
     detect_convergence,
-    fractional_allocations,
     fractional_baseline,
     run_experiment,
     sweep,
 )
+from xlmimo.se import uniform_amplitudes
 
 TINY = dict(
     episodes=3,
@@ -134,9 +134,9 @@ class TestFractionalBaseline:
         np.testing.assert_allclose(p, [0.2, 0.1])
 
     def test_allocations_respect_budget(self):
-        allocs = fractional_allocations([1.0, 4.0], 0.5, 0.2, n_s=2)
-        for a, expect in zip(allocs, [0.2, 0.1]):
-            assert a.trace == pytest.approx(expect)
+        budgets = fractional_baseline([1.0, 4.0], exponent=0.5, p_max=0.2)
+        amps = uniform_amplitudes(budgets, n_s=2)
+        np.testing.assert_allclose(np.sum(amps**2, axis=1), [0.2, 0.1])
 
 
 class TestDetectConvergence:

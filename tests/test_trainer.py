@@ -40,9 +40,10 @@ class QuadraticBandit:
     def reward(self, p):
         return 1.0 - ((p - self.p_star) / self.p_max) ** 2
 
-    def step(self, actions, allocations=None):
-        r = self.reward(float(actions[0, 0]))
-        return np.array([[1.0]]), np.array([r]), {}
+    def step(self, actions, amplitudes=None):
+        p = float(actions[0, 0])
+        info = {"power_trace": [p], "budgets": [p], "positions": np.zeros((1, 3))}
+        return np.array([[1.0]]), np.array([self.reward(p)]), info
 
 
 def small_settings(**over):
