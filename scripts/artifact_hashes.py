@@ -58,7 +58,7 @@ TRAINING = dict(
     update_after=4, batch_global=4, batch_local=4, eval_every=2,
     eval_draws=2, n_conv=2, delta_conv=0.5,
 )
-SWEEPS = (("seeds", ["0", "1", "2"]), ("spacing_s", ["0.25", "0.5"]),
+SWEEPS = (("seeds", ["0", "1", "2"]), ("spacing_s", ["0.25", "0.4"]),
           ("k_ue", ["1", "3"]), ("n_h_s", ["1", "3"]))
 SIM_DRAWS = 64
 # each geometry's extra eval passes this on the command line over the

@@ -163,7 +163,10 @@ def cmd_eval(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise RuntimeError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
     env, trainer = build_trainer(cfg)
-    trainer.load_state_dict(state)
+    try:
+        trainer.load_state_dict(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RuntimeError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     result = evaluate_greedy(trainer, cfg, round_key=-1)
     (out / "eval.json").write_text(
         json.dumps(result, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -21,6 +21,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "make_config",
+    "replace_config",
     "load_config",
     "dump_config",
     "config_hash",
@@ -283,6 +284,11 @@ def make_config(data: dict | None = None, preset: str = "desk") -> ExperimentCon
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     return _validate(cfg)
+
+
+def replace_config(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """``cfg`` with ``changes`` applied, validated as ``make_config`` validates."""
+    return _validate(dataclasses.replace(cfg, **changes))
 
 
 def load_config(path, preset: str = "desk", overrides: dict | None = None) -> ExperimentConfig:

@@ -9,7 +9,6 @@ contract.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ from ..dlpc import DoubleLayerTrainer
 from ..env import CellFreeEnv
 from ..marl.trainer import Trainer
 from ..seeding import stream
-from .config import ConfigError, ExperimentConfig, config_hash, dump_config
+from .config import ConfigError, ExperimentConfig, config_hash, dump_config, replace_config
 
 __all__ = [
     "fractional_baseline",
@@ -182,6 +181,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     episode_mean_sum_se = []
     eval_rounds = []
     episode_seconds = []
+    eval_seconds = 0.0
     traj_lines = []
     for episode in range(cfg.episodes):
         t0 = time.perf_counter()
@@ -207,12 +207,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
                     )
                 )
         if (episode + 1) % cfg.eval_every == 0 or episode == cfg.episodes - 1:
+            t0 = time.perf_counter()
             result = evaluate_greedy(trainer, cfg, round_key=episode)
+            eval_seconds += time.perf_counter() - t0
             eval_rounds.append({"episode": episode, **result})
 
     convergence = detect_convergence(episode_mean_sum_se, cfg.n_conv, cfg.delta_conv)
     final_eval = eval_rounds[-1]
 
+    t_write = time.perf_counter()
     columns = _metrics_columns(cfg.k_ue, convergence)
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -249,12 +252,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
         (out / "trajectory.jsonl").write_text(
             "\n".join(traj_lines) + "\n", encoding="utf-8"
         )
+    artifact_write_s = time.perf_counter() - t_write
     # timings are hardware-dependent and live outside the deterministic set
     (out / "timing.json").write_text(
         json.dumps(
             {
                 "wall_clock_s_per_episode": float(np.mean(episode_seconds)),
                 "total_s": float(np.sum(episode_seconds)),
+                "eval_s": eval_seconds,
+                "artifact_write_s": artifact_write_s,
             },
             sort_keys=True,
             indent=2,
@@ -272,15 +278,22 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir,
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: expected one of {sorted(SWEEP_AXES)}, got {axis!r}")
     cast = SWEEP_AXES[axis]
+    points = []  # every point is validated before the first one trains
+    for value in values:
+        try:
+            value = cast(value)
+        except ValueError:
+            raise ConfigError(f"{axis}: cannot read sweep value {value!r} as "
+                              f"{cast.__name__}") from None
+        points.append((value, replace_config(cfg, **{axis: value})))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, value in enumerate(values):
-        sub_cfg = dataclasses.replace(cfg, **{axis: cast(value)})
+    for i, (value, sub_cfg) in enumerate(points):
         summary = run_experiment(sub_cfg, out / f"point_{i:03d}",
                                  log_trajectories=log_trajectories)
         # the summary holds every column but the sweep point's own two
-        rows.append({"axis": axis, "value": cast(value),
+        rows.append({"axis": axis, "value": value,
                      **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -100,6 +100,14 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
+    def filled(self, n: int | None = None) -> dict:
+        """Every array's first ``n`` transitions (default: all held), as views by name."""
+        n = self.size if n is None else n
+        return {"states": self.states[:n], "actions": self.actions[:n],
+                "next_states": self.next_states[:n], "rewards": self.rewards[:, :n],
+                "losses": self.losses[:, :n], "counts": self.counts[:, :n],
+                "priorities": self.priorities[:, :n]}
+
     def add(self, state, action, rewards, next_state, losses):
         """Append one transition; ``rewards`` and ``losses`` hold one value per critic."""
         if self.size == self.capacity:

@@ -19,6 +19,7 @@ configurations reproduce their reference algorithm trace exactly.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,37 @@ from .replay import Batch, ReplayBuffer, fill_extraction_pool
 
 __all__ = ["VariantSpec", "VARIANTS", "resolve_variant", "TrainerSettings", "MarlCore", "Trainer"]
 
-# version 2 stores each layer's replay once ("replay"); version 1 is not read
-CHECKPOINT_VERSION = 2
+# version 3 writes every network parameter and replay array as an array leaf
+# (``_leaf``); version 2 wrote them as nested JSON lists and is not read
+CHECKPOINT_VERSION = 3
+
+
+def _leaf(arr: np.ndarray) -> dict:
+    """One array as a JSON leaf: dtype, shape and the base64 of its C-order little-endian bytes."""
+    arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _unleaf(leaf, dtype, where: str) -> np.ndarray:
+    """The read-only ``dtype`` array a ``_leaf`` holds; another dtype, bad base64 or
+    a byte count that does not fit the shape raises ValueError naming ``where``."""
+    dtype = np.dtype(dtype).newbyteorder("<").str
+    if not isinstance(leaf, dict) or set(leaf) != {"dtype", "shape", "data"}:
+        raise ValueError(f"{where} is not an array leaf (dtype, shape, data)")
+    if leaf["dtype"] != dtype:
+        raise ValueError(f"{where} has dtype {leaf['dtype']!r}; expected {dtype!r}")
+    shape = leaf["shape"]
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ValueError(f"{where} has shape {shape!r}; expected a list of sizes")
+    try:
+        raw = base64.b64decode(leaf["data"], validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ValueError(f"{where} data is not valid base64") from None
+    size = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValueError(f"{where} holds {len(raw)} bytes; shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -387,13 +417,14 @@ class MarlCore:
     def state_dict(self) -> dict:
         """JSON-serializable dump: nets, replay contents and stream states.
 
-        Field order is fixed: per net all weight matrices input-to-output,
-        then all bias vectors.  Replay arrays are trimmed to the filled rows.
+        Every network parameter and replay array is one ``_leaf``; the rest
+        is plain JSON.  Field order is fixed: per net all weight matrices
+        input-to-output, then all bias vectors.  Replay arrays are trimmed
+        to the filled rows.
         """
         def net(m):
-            return [p.tolist() for p in m.parameters()]
+            return [_leaf(p) for p in m.parameters()]
 
-        r, n = self.replay, len(self.replay)
         return {
             "layer": self.layer,
             "n_agents": self.n_agents,
@@ -405,15 +436,7 @@ class MarlCore:
             "global_critic_target": net(self.global_critic_target),
             "local_critics": [net(c) for c in self.local_critics],
             "local_critic_targets": [net(c) for c in self.local_critic_targets],
-            "replay": {
-                "states": r.states[:n].tolist(),
-                "actions": r.actions[:n].tolist(),
-                "next_states": r.next_states[:n].tolist(),
-                "rewards": r.rewards[:, :n].tolist(),
-                "losses": r.losses[:, :n].tolist(),
-                "counts": r.counts[:, :n].tolist(),
-                "priorities": r.priorities[:, :n].tolist(),
-            },
+            "replay": {key: _leaf(arr) for key, arr in self.replay.filled().items()},
             "rng": {
                 "explore": [g.bit_generator.state for g in self._explore],
                 "pool": [g.bit_generator.state for g in self._pool_rngs],
@@ -422,22 +445,21 @@ class MarlCore:
         }
 
     def load_state_dict(self, state: dict):
-        """Restore a ``state_dict`` dump; any shape this core cannot hold raises ValueError."""
-        def check(name, value, shape, dtype=float):
-            arr = np.asarray(value, dtype=dtype)
-            if arr.shape != shape and not (arr.size == 0 and 0 in shape):
-                raise ValueError(
-                    f"checkpoint layer {self.layer} {name} has shape {arr.shape}; "
-                    f"this configuration needs {shape}"
-                )
-            return arr.reshape(shape)
+        """Restore a ``state_dict`` dump.
+
+        A leaf that does not decode, or any shape this core cannot hold,
+        raises ValueError naming the layer and the field.  Decoded arrays
+        are copied into this core's own buffers.
+        """
+        def decode(name, leaf, dtype=float):
+            return _unleaf(leaf, dtype, f"checkpoint layer {self.layer} {name}")
 
         def setnets(name, nets, params):
             if len(params) != len(nets):
                 raise ValueError(f"checkpoint layer {self.layer} holds {len(params)} {name}; "
                                  f"this configuration needs {len(nets)}")
-            for m, p in zip(nets, params):
-                m.set_parameters([np.asarray(w, dtype=float) for w in p])
+            for i, (m, p) in enumerate(zip(nets, params)):
+                m.set_parameters([decode(f"{name}[{i}][{j}]", w) for j, w in enumerate(p)])
 
         setnets("actors", [a.mlp for a in self.actors], state["actors"])
         setnets("actor_targets", [a.mlp for a in self.actor_targets], state["actor_targets"])
@@ -446,17 +468,19 @@ class MarlCore:
                 [state["global_critic_target"]])
         setnets("local_critics", self.local_critics, state["local_critics"])
         setnets("local_critic_targets", self.local_critic_targets, state["local_critic_targets"])
-        data, r = state["replay"], self.replay
-        n = np.shape(data["rewards"])[-1]
+        r, data = self.replay, state["replay"]
+        arrays = {key: decode(key, data[key], live.dtype) for key, live in r.filled(0).items()}
+        n = arrays["rewards"].shape[-1] if arrays["rewards"].ndim else 0
         if n > r.capacity:
             raise ValueError(f"checkpoint layer {self.layer} holds {n} transitions; "
                              f"buffer_capacity is {r.capacity}")
-        for key in ("states", "actions", "next_states"):
-            arr = getattr(r, key)
-            arr[:n] = check(key, data[key], (n, *arr.shape[1:]))
-        for key in ("rewards", "losses", "counts", "priorities"):
-            arr = getattr(r, key)
-            arr[:, :n] = check(key, data[key], (arr.shape[0], n), arr.dtype)
+        for key, live in r.filled(n).items():
+            if arrays[key].shape != live.shape:
+                raise ValueError(
+                    f"checkpoint layer {self.layer} {key} has shape {arrays[key].shape}; "
+                    f"this configuration needs {live.shape}"
+                )
+            live[...] = arrays[key]
         r.size = n
         rng = state["rng"]
         for name, gens in (("explore", self._explore), ("pool", self._pool_rngs),

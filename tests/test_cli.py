@@ -73,6 +73,19 @@ def tiny_config_path(tmp_path):
     return path
 
 
+def eval_edited_checkpoint(config_path, tmp_path, capsys, edit):
+    """Train, apply ``edit`` to the parsed checkpoint, evaluate it: (exit code, stderr)."""
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "run" / "checkpoint.json"
+    state = json.loads(path.read_text())
+    edit(state)
+    path.write_text(json.dumps(state, sort_keys=True))
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(config_path), "--checkpoint", str(path),
+               "--out", str(tmp_path / "eval")])
+    return rc, capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_ok(self, tiny_config_path, capsys):
         assert main(["dump-config", "--config", str(tiny_config_path)]) == 0
@@ -101,17 +114,32 @@ class TestExitCodes:
         assert "checkpoint" in capsys.readouterr().err
 
     def test_version_1_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
-        assert main(["train", "--config", str(tiny_config_path),
-                     "--out", str(tmp_path / "run")]) == 0
-        path = tmp_path / "run" / "checkpoint.json"
-        state = json.loads(path.read_text())
-        state["version"] = 1
-        path.write_text(json.dumps(state))
-        capsys.readouterr()
-        rc = main(["eval", "--config", str(tiny_config_path), "--checkpoint", str(path),
-                   "--out", str(tmp_path / "eval")])
+        rc, err = eval_edited_checkpoint(tiny_config_path, tmp_path, capsys,
+                                         lambda state: state.update(version=1))
         assert rc == 3
-        assert "checkpoint version 1" in capsys.readouterr().err
+        assert "checkpoint version 1" in err
+
+    def test_version_2_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
+        rc, err = eval_edited_checkpoint(tiny_config_path, tmp_path, capsys,
+                                         lambda state: state.update(version=2))
+        assert rc == 3
+        assert "version 2" in err
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda leaf: leaf.update(dtype=">f8"), "has dtype"),
+        (lambda leaf: leaf.update(data=leaf["data"][:-4] + "@@@@"), "not valid base64"),
+        (lambda leaf: leaf.update(shape=[leaf["shape"][0] + 1, *leaf["shape"][1:]]), "bytes"),
+    ], ids=["dtype", "base64", "length"])
+    def test_corrupt_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys, corrupt, match):
+        # JSON-valid but corrupted: one leaf of the shared critic
+        rc, err = eval_edited_checkpoint(
+            tiny_config_path, tmp_path, capsys,
+            lambda state: corrupt(state["layers"]["1"]["global_critic"][0]))
+        assert rc == 3
+        path = tmp_path / "run" / "checkpoint.json"
+        assert f"checkpoint {path}" in err and "layer 1 global_critic[0][0]" in err
+        assert match in err
+        assert not (tmp_path / "eval" / "eval.json").exists()
 
     def test_other_scenario_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
         # pm-dynamic and dynamic share every network shape, so only the
@@ -185,6 +213,14 @@ class TestTrainCli:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+
+    def test_timing_sidecar(self, tiny_config_path, tmp_path):
+        assert main(["train", "--config", str(tiny_config_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        timing = json.loads((tmp_path / "run" / "timing.json").read_text())
+        assert set(timing) == {"wall_clock_s_per_episode", "total_s", "eval_s",
+                               "artifact_write_s"}
+        assert timing["eval_s"] > 0 and timing["artifact_write_s"] > 0
 
     def test_cli_overrides(self, tiny_config_path, tmp_path):
         rc = main(
@@ -272,3 +308,13 @@ class TestSweepCli:
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4  # header + 3 points
         assert lines[0].startswith("axis,value,seed,config_hash")
+
+    @pytest.mark.parametrize("axis, values", [("spacing_s", ["0.25", "0.9"]),
+                                              ("k_ue", ["1", "0"])])
+    def test_bad_point_is_2_before_training(self, tiny_config_path, tmp_path, capsys,
+                                            axis, values):
+        rc = main(["sweep", "--config", str(tiny_config_path), "--axis", axis,
+                   "--values", *values, "--out", str(tmp_path / "sweep")])
+        assert rc == 2
+        assert f"{axis}:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()

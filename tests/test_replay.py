@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from xlmimo.marl.replay import (
     priority_ranked,
     priority_simple,
 )
+from xlmimo.marl.trainer import CHECKPOINT_VERSION
 
 
 def store(capacity, n_agents=1):
@@ -228,12 +230,18 @@ class TestFillExtractionPool:
             fill_extraction_pool(buf, 0, 1, np.random.default_rng(0))
 
 
-def trained_state(**over):
-    """Checkpoint of a tiny run whose 8 steps overflow a 6-transition store."""
+def trained(**over):
+    """A tiny run whose 8 steps overflow a 6-transition store: (config, trainer)."""
     cfg = make_config(dict(episodes=1, steps=8, hidden=(6, 4), buffer_capacity=6, pool_size=4,
                            update_after=4, batch_global=2, batch_local=2, **over))
     _, trainer = build_trainer(cfg)
     trainer.train_episode()
+    return cfg, trainer
+
+
+def trained_state(**over):
+    """Checkpoint of ``trained``'s run."""
+    cfg, trainer = trained(**over)
     return cfg, trainer.state_dict()
 
 
@@ -241,17 +249,62 @@ def fresh_trainer(cfg, **over):
     return build_trainer(dataclasses.replace(cfg, **over))[1]
 
 
+# a signed zero, the smallest subnormals, the extremes and neighbours one ulp apart
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-310, 1e308, -1e308, 1.0, np.nextafter(1.0, 2.0),
+                        np.nextafter(1.0, 0.0), -np.nextafter(1e308, 0.0)])
+
+
+def nets_of(core):
+    """Every stacked network a core's checkpoint holds."""
+    stacks = [core.actor_stack, core.actor_target_stack, core.global_critic,
+              core.global_critic_target, core.local_critic_stack, core.local_critic_target_stack]
+    return [m for m in stacks if m is not None]
+
+
 class TestCheckpoint:
     def test_round_trip_stores_each_transition_once(self):
         cfg, state = trained_state(architecture="double")
-        assert state["version"] == 2
+        assert state["version"] == CHECKPOINT_VERSION
         for layer in state["layers"].values():
             assert set(layer["replay"]) == {"states", "actions", "next_states", "rewards",
                                             "losses", "counts", "priorities"}
-            assert np.shape(layer["replay"]["states"])[0] == 6
+            assert layer["replay"]["states"]["shape"][0] == 6
         trainer = fresh_trainer(cfg)
         trainer.load_state_dict(state)
         assert trainer.state_dict() == state
+
+    def test_round_trip_keeps_every_bit(self):
+        cfg, trainer = trained(architecture="double")
+        for core in trainer._layers().values():
+            for net in nets_of(core):
+                for p in net.parameters():
+                    p.flat[:] = np.resize(EDGE_FLOATS, p.size)
+            for key, arr in core.replay.filled().items():
+                if key == "counts":
+                    arr.flat[:] = np.resize([0, 1, 2**62 + 1, 2**63 - 1], arr.size)
+                else:
+                    arr.flat[:] = np.resize(EDGE_FLOATS[::-1], arr.size)
+        clone = fresh_trainer(cfg, seed=cfg.seed + 1)
+        clone.load_state_dict(json.loads(json.dumps(trainer.state_dict(), sort_keys=True)))
+        for key, core in trainer._layers().items():
+            twin = clone._layers()[key]
+            for net, net2 in zip(nets_of(core), nets_of(twin)):
+                for p, q in zip(net.parameters(), net2.parameters()):
+                    np.testing.assert_array_equal(p.view(np.uint64), q.view(np.uint64))
+            got = twin.replay.filled()
+            assert got["counts"].dtype == np.int64
+            for name, arr in core.replay.filled().items():
+                assert got[name].dtype == arr.dtype
+                np.testing.assert_array_equal(got[name].view(np.uint64), arr.view(np.uint64))
+
+    def test_empty_replay_round_trips(self):
+        cfg = make_config(dict(architecture="double", hidden=(6, 4), buffer_capacity=6))
+        state = fresh_trainer(cfg).state_dict()
+        assert state["layers"]["2"]["replay"]["states"]["shape"][0] == 0
+        clone = fresh_trainer(cfg, seed=cfg.seed + 1)
+        clone.load_state_dict(state)
+        assert clone.state_dict() == state
+        assert len(clone.core2.replay) == 0
 
     def test_rejects_version_1(self):
         cfg, state = trained_state()
