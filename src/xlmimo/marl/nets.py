@@ -146,15 +146,12 @@ class Mlp:
         """Copy ``params`` into this net's arrays in place (stack views stay live)."""
         own = self.parameters()
         if len(params) != len(own):
-            raise ValueError("parameter list length mismatch")
+            raise ValueError(f"{len(params)} parameter arrays given; this net holds {len(own)}")
         for k, (p, q) in enumerate(zip(own, params)):
             if p.shape != q.shape:
-                raise ValueError(f"{'weight' if k < len(self.weights) else 'bias'} shape mismatch")
+                raise ValueError(f"parameter {k} has shape {q.shape}; this net holds {p.shape}")
         for p, q in zip(own, params):
             p[...] = q
-
-    def copy_from(self, other: "Mlp"):
-        self.set_parameters(other.parameters())
 
 
 class Actor:

@@ -6,7 +6,7 @@ centralized part of the policy gradient and regresses on the team reward.
 The networks are stacked per control layer: all agents' actors (targets,
 local critics) are one ``Mlp`` whose parameters carry a leading share-group
 axis, so acting, scoring and every update make one matmul per network
-layer for all agents of the layer.
+layer for all agents of the layer, and a checkpoint writes each stack once.
 Replay keeps each joint transition once per layer, with one reward, loss,
 extraction count and priority per critic; every critic's extraction pool
 is refilled every step, priority-proportional in the prioritized variants.
@@ -20,6 +20,7 @@ configurations reproduce their reference algorithm trace exactly.
 from __future__ import annotations
 
 import base64
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,10 @@ from .replay import Batch, ReplayBuffer, fill_extraction_pool
 
 __all__ = ["VariantSpec", "VARIANTS", "resolve_variant", "TrainerSettings", "MarlCore", "Trainer"]
 
-# version 3 writes every network parameter and replay array as an array leaf
-# (``_leaf``); version 2 wrote them as nested JSON lists and is not read
-CHECKPOINT_VERSION = 3
+# version 4 writes each network once, as its stacked parameters, and every
+# network parameter and replay array as an array leaf (``_leaf``); version 3
+# wrote one parameter set per agent and is not read, nor are older versions
+CHECKPOINT_VERSION = 4
 
 
 def _leaf(arr: np.ndarray) -> dict:
@@ -120,8 +122,8 @@ class MarlCore:
     The actors, actor targets, local critics and local-critic targets of
     all share groups live in one stacked ``Mlp`` each (member g is group g's
     parameter set), so every network layer is one matmul for all agents.
-    ``actors[i]``, ``local_critics[i]`` and their targets are agent i's
-    member, as views into the stacks; agents of one group share the object.
+    Agent i's member is ``stack[_group_of[i]]``; checkpoints hold each stack
+    once.
     """
 
     def __init__(
@@ -163,23 +165,15 @@ class MarlCore:
 
         self.actor_stack, self.actor_target_stack = stacks(
             "actor", [state_dim, *hid, self.action_dim])
-        self.actors = self._views(lambda g: Actor(self.actor_stack[g], self.ranges))
-        self.actor_targets = self._views(lambda g: Actor(self.actor_target_stack[g], self.ranges))
         self.local_critic_stack = self.local_critic_target_stack = None
-        self.local_critics = []
-        self.local_critic_targets = []
         if variant.local_critic:
             self.local_critic_stack, self.local_critic_target_stack = stacks(
                 "critic_local", [state_dim + self.action_dim, *hid, 1])
-            self.local_critics = self._views(lambda g: self.local_critic_stack[g])
-            self.local_critic_targets = self._views(lambda g: self.local_critic_target_stack[g])
 
         joint_dim = n_agents * (state_dim + self.action_dim)
         self.global_critic = Mlp([joint_dim, *hid, 1],
                                  stream(master_seed, "init", "critic_global", layer))
-        self.global_critic_target = Mlp([joint_dim, *hid, 1],
-                                        stream(master_seed, "init", "critic_global", layer))
-        self.global_critic_target.copy_from(self.global_critic)
+        self.global_critic_target = copy.deepcopy(self.global_critic)
 
         # replay row, pool and stream 0 serve the shared critic, 1 + i agent i's
         self.replay = ReplayBuffer(settings.buffer_capacity, n_agents, state_dim, self.action_dim)
@@ -192,11 +186,6 @@ class MarlCore:
         self._upd_rngs = [stream(master_seed, "update_global", layer)] + [
             stream(master_seed, "update_local", layer, i) for i in range(n_agents)
         ]
-
-    def _views(self, make):
-        """One object per agent, ``make(group)`` built once per share group."""
-        per_group = [make(g) for g in range(self._n_groups)]
-        return [per_group[g] for g in self._group_of]
 
     def _members(self, stack: Mlp, agents) -> Mlp:
         """The stack's parameter sets of ``agents``, one member per agent."""
@@ -406,86 +395,88 @@ class MarlCore:
             out["critic_loss_local_mean"] = float(np.mean(local_losses))
         return out
 
-    # -- snapshots -----------------------------------------------------------
-    def parameter_snapshot(self):
-        snap = {"actors": [[p.copy() for p in a.parameters()] for a in self.actors],
-                "global_critic": [p.copy() for p in self.global_critic.parameters()]}
+    # -- checkpoints ----------------------------------------------------------
+    def _header(self) -> dict:
+        """The checkpoint fields a restoring core must match as they are."""
+        return {"layer": self.layer, "n_agents": self.n_agents, "state_dim": self.state_dim,
+                "action_ranges": self.ranges.tolist()}
+
+    def _nets(self) -> dict:
+        """This core's networks, keyed as in checkpoints."""
+        nets = {"actor_stack": self.actor_stack, "actor_target_stack": self.actor_target_stack,
+                "global_critic": self.global_critic,
+                "global_critic_target": self.global_critic_target}
         if self.variant.local_critic:
-            snap["local_critics"] = [[p.copy() for p in c.parameters()] for c in self.local_critics]
-        return snap
+            nets["local_critic_stack"] = self.local_critic_stack
+            nets["local_critic_target_stack"] = self.local_critic_target_stack
+        return nets
+
+    def _streams(self) -> dict:
+        """This core's random streams, keyed as in checkpoints."""
+        return {"explore": self._explore, "pool": self._pool_rngs, "update": self._upd_rngs}
 
     def state_dict(self) -> dict:
         """JSON-serializable dump: nets, replay contents and stream states.
 
-        Every network parameter and replay array is one ``_leaf``; the rest
-        is plain JSON.  Field order is fixed: per net all weight matrices
-        input-to-output, then all bias vectors.  Replay arrays are trimmed
-        to the filled rows.
+        Every network is written once, as the list of its ``parameters()``
+        leaves: a stack's weights are (G, fan_in, fan_out) and its biases
+        (G, fan_out), member g being share group g.  Replay arrays are
+        leaves trimmed to the filled rows; the rest is plain JSON.
         """
-        def net(m):
-            return [_leaf(p) for p in m.parameters()]
-
         return {
-            "layer": self.layer,
-            "n_agents": self.n_agents,
-            "state_dim": self.state_dim,
-            "action_ranges": self.ranges.tolist(),
-            "actors": [net(a.mlp) for a in self.actors],
-            "actor_targets": [net(a.mlp) for a in self.actor_targets],
-            "global_critic": net(self.global_critic),
-            "global_critic_target": net(self.global_critic_target),
-            "local_critics": [net(c) for c in self.local_critics],
-            "local_critic_targets": [net(c) for c in self.local_critic_targets],
+            **self._header(),
+            **{name: [_leaf(p) for p in m.parameters()] for name, m in self._nets().items()},
             "replay": {key: _leaf(arr) for key, arr in self.replay.filled().items()},
-            "rng": {
-                "explore": [g.bit_generator.state for g in self._explore],
-                "pool": [g.bit_generator.state for g in self._pool_rngs],
-                "update": [g.bit_generator.state for g in self._upd_rngs],
-            },
+            "rng": {name: [g.bit_generator.state for g in gens]
+                    for name, gens in self._streams().items()},
         }
 
     def load_state_dict(self, state: dict):
         """Restore a ``state_dict`` dump.
 
-        A leaf that does not decode, or any shape this core cannot hold,
-        raises ValueError naming the layer and the field.  Decoded arrays
-        are copied into this core's own buffers.
+        Another field set, header value, stream count, a leaf that does not
+        decode, or any shape this core cannot hold raises ValueError naming
+        the layer and the field.  Decoded arrays are copied into this core's
+        own buffers.
         """
+        where = f"checkpoint layer {self.layer}"
+        header, nets = self._header(), self._nets()
+        fields = {*header, *nets, "replay", "rng"}
+        if set(state) != fields:
+            raise ValueError(f"{where} holds fields {sorted(state)}; "
+                             f"this configuration needs {sorted(fields)}")
+        for key, want in header.items():
+            if state[key] != want:
+                raise ValueError(f"{where} {key} is {state[key]!r}; "
+                                 f"this configuration needs {want!r}")
+        streams = self._streams()
+        for name, gens in streams.items():
+            if len(state["rng"][name]) != len(gens):
+                raise ValueError(f"{where} rng.{name} holds {len(state['rng'][name])} stream "
+                                 f"states; this configuration needs {len(gens)}")
+
         def decode(name, leaf, dtype=float):
-            return _unleaf(leaf, dtype, f"checkpoint layer {self.layer} {name}")
+            return _unleaf(leaf, dtype, f"{where} {name}")
 
-        def setnets(name, nets, params):
-            if len(params) != len(nets):
-                raise ValueError(f"checkpoint layer {self.layer} holds {len(params)} {name}; "
-                                 f"this configuration needs {len(nets)}")
-            for i, (m, p) in enumerate(zip(nets, params)):
-                m.set_parameters([decode(f"{name}[{i}][{j}]", w) for j, w in enumerate(p)])
-
-        setnets("actors", [a.mlp for a in self.actors], state["actors"])
-        setnets("actor_targets", [a.mlp for a in self.actor_targets], state["actor_targets"])
-        setnets("global_critic", [self.global_critic], [state["global_critic"]])
-        setnets("global_critic_target", [self.global_critic_target],
-                [state["global_critic_target"]])
-        setnets("local_critics", self.local_critics, state["local_critics"])
-        setnets("local_critic_targets", self.local_critic_targets, state["local_critic_targets"])
+        for name, m in nets.items():
+            params = [decode(f"{name}[{j}]", leaf) for j, leaf in enumerate(state[name])]
+            try:
+                m.set_parameters(params)
+            except ValueError as err:
+                raise ValueError(f"{where} {name}: {err}") from None
         r, data = self.replay, state["replay"]
         arrays = {key: decode(key, data[key], live.dtype) for key, live in r.filled(0).items()}
         n = arrays["rewards"].shape[-1] if arrays["rewards"].ndim else 0
         if n > r.capacity:
-            raise ValueError(f"checkpoint layer {self.layer} holds {n} transitions; "
-                             f"buffer_capacity is {r.capacity}")
+            raise ValueError(f"{where} holds {n} transitions; buffer_capacity is {r.capacity}")
         for key, live in r.filled(n).items():
             if arrays[key].shape != live.shape:
-                raise ValueError(
-                    f"checkpoint layer {self.layer} {key} has shape {arrays[key].shape}; "
-                    f"this configuration needs {live.shape}"
-                )
+                raise ValueError(f"{where} {key} has shape {arrays[key].shape}; "
+                                 f"this configuration needs {live.shape}")
             live[...] = arrays[key]
         r.size = n
-        rng = state["rng"]
-        for name, gens in (("explore", self._explore), ("pool", self._pool_rngs),
-                           ("update", self._upd_rngs)):
-            for g, st in zip(gens, rng[name]):
+        for name, gens in streams.items():
+            for g, st in zip(gens, state["rng"][name]):
                 g.bit_generator.state = st
 
 

@@ -288,10 +288,8 @@ class TestC08DegenerateEquivalence:
             np.testing.assert_allclose(
                 np.asarray(m_s["sum_se"]), np.asarray(m_d["sum_se"]), rtol=0, atol=1e-12
             )
-        for a, b in zip(t_s.core.parameter_snapshot()["actors"],
-                        t_d.core.parameter_snapshot()["actors"]):
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa, pb)
+        for pa, pb in zip(t_s.core.actor_stack.parameters(), t_d.core.actor_stack.parameters()):
+            np.testing.assert_array_equal(pa, pb)
         report("criterion 8a single-antenna equivalence",
                "double-layer trace identical to single-layer")
 
@@ -311,12 +309,10 @@ class TestC08DegenerateEquivalence:
             np.testing.assert_array_equal(
                 np.asarray(m_a["actions"]), np.asarray(m_b["actions"])
             )
-        snap_a, snap_b = t_a.core.parameter_snapshot(), t_b.core.parameter_snapshot()
-        for a, b in zip(snap_a["actors"], snap_b["actors"]):
-            for pa, pb in zip(a, b):
+        for name in ("actor_stack", "global_critic"):
+            for pa, pb in zip(getattr(t_a.core, name).parameters(),
+                              getattr(t_b.core, name).parameters()):
                 np.testing.assert_array_equal(pa, pb)
-        for pa, pb in zip(snap_a["global_critic"], snap_b["global_critic"]):
-            np.testing.assert_array_equal(pa, pb)
         report("criterion 8b variant reduction",
                "decoupled term off + uniform sampling reproduces the baseline trace")
 

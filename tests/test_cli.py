@@ -125,6 +125,57 @@ class TestExitCodes:
         assert rc == 3
         assert "version 2" in err
 
+    def test_version_3_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys):
+        rc, err = eval_edited_checkpoint(tiny_config_path, tmp_path, capsys,
+                                         lambda state: state.update(version=3))
+        assert rc == 3
+        assert "unsupported checkpoint version 3" in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda layer: layer.update(n_agents=layer["n_agents"] + 1), "layer 1 n_agents"),
+        (lambda layer: layer.update(state_dim=layer["state_dim"] + 1), "layer 1 state_dim"),
+        (lambda layer: layer.update(action_ranges=[r / 4 for r in layer["action_ranges"]]),
+         "layer 1 action_ranges"),
+        (lambda layer: layer["rng"]["explore"].pop(), "layer 1 rng.explore"),
+    ], ids=["n_agents", "state_dim", "action_ranges", "rng"])
+    def test_edited_field_checkpoint_is_3(self, tiny_config_path, tmp_path, capsys, edit, field):
+        rc, err = eval_edited_checkpoint(tiny_config_path, tmp_path, capsys,
+                                         lambda state: edit(state["layers"]["1"]))
+        assert rc == 3
+        assert field in err
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
+    def test_empty_layer_2_streams_checkpoint_is_3(self, tmp_path, capsys):
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps({**TINY, "architecture": "double"}))
+        rc, err = eval_edited_checkpoint(
+            path, tmp_path, capsys, lambda state: state["layers"]["2"]["rng"]["update"].clear())
+        assert rc == 3
+        assert "layer 2 rng.update holds 0 stream states" in err
+
+    @pytest.mark.parametrize("train_over, eval_over, field", [
+        ({"weight_sharing": False}, {"weight_sharing": True}, "layer 2 actor_stack"),
+        ({"weight_sharing": True}, {"weight_sharing": False}, "layer 2 actor_stack"),
+        ({"p_max_mw": 200.0}, {"p_max_mw": 50.0}, "layer 1 action_ranges"),
+        # only the decoupled variants have local critics
+        ({"variant": "mimo-maddpg"}, {"variant": "pes-maddpg"}, "layer 1 holds fields"),
+    ], ids=["to-shared", "from-shared", "p_max_mw", "variant"])
+    def test_other_configuration_checkpoint_is_3(self, tmp_path, capsys, train_over, eval_over,
+                                                  field):
+        configs = {}
+        for name, over in (("train", train_over), ("eval", eval_over)):
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps({**TINY, "architecture": "double", **over}))
+        assert main(["train", "--config", str(configs["train"]),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(configs["eval"]),
+                   "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 3
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
     @pytest.mark.parametrize("corrupt, match", [
         (lambda leaf: leaf.update(dtype=">f8"), "has dtype"),
         (lambda leaf: leaf.update(data=leaf["data"][:-4] + "@@@@"), "not valid base64"),
@@ -137,7 +188,7 @@ class TestExitCodes:
             lambda state: corrupt(state["layers"]["1"]["global_critic"][0]))
         assert rc == 3
         path = tmp_path / "run" / "checkpoint.json"
-        assert f"checkpoint {path}" in err and "layer 1 global_critic[0][0]" in err
+        assert f"checkpoint {path}" in err and "layer 1 global_critic[0]" in err
         assert match in err
         assert not (tmp_path / "eval" / "eval.json").exists()
 

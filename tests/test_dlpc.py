@@ -160,19 +160,11 @@ class TestSameMachineryAcrossLayers:
         core1 = MarlCore(1, 2, 2, np.array([1.0]), settings, variant, master_seed=5)
         core2 = MarlCore(2, 2, 2, np.array([1.0]), settings, variant, master_seed=5)
         # different layers draw different initial parameters by design
-        assert not np.array_equal(core1.actors[0].parameters()[0],
-                                  core2.actors[0].parameters()[0])
+        assert not np.array_equal(core1.actor_stack.weights[0], core2.actor_stack.weights[0])
         # with parameters forced equal, the update equations coincide
-        core2.global_critic.copy_from(core1.global_critic)
-        core2.global_critic_target.copy_from(core1.global_critic_target)
-        for a1, a2 in zip(core1.actors, core2.actors):
-            a2.mlp.copy_from(a1.mlp)
-        for t1, t2 in zip(core1.actor_targets, core2.actor_targets):
-            t2.mlp.copy_from(t1.mlp)
-        for c1, c2 in zip(core1.local_critics, core2.local_critics):
-            c2.copy_from(c1)
-        for c1, c2 in zip(core1.local_critic_targets, core2.local_critic_targets):
-            c2.copy_from(c1)
+        for name in ("global_critic", "global_critic_target", "actor_stack",
+                     "actor_target_stack", "local_critic_stack", "local_critic_target_stack"):
+            getattr(core2, name).set_parameters(getattr(core1, name).parameters())
         rng = np.random.default_rng(6)
         rows = [
             (
@@ -211,18 +203,15 @@ class TestDoubleLayerTrainer:
             np.testing.assert_allclose(
                 np.asarray(m_s["rewards"]), np.asarray(m_d["rewards"]), atol=1e-12
             )
-        for a, b in zip(t_single.core.parameter_snapshot()["actors"],
-                        t_double.core.parameter_snapshot()["actors"]):
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa, pb)
+        for pa, pb in zip(t_single.core.actor_stack.parameters(),
+                          t_double.core.actor_stack.parameters()):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_layers_use_disjoint_parameter_objects(self):
         t = DoubleLayerTrainer(desk_env(34), small_settings(), "mimo-maddpg", 34)
-        ids1 = {id(p) for a in t.core.actors for p in a.parameters()}
-        ids1 |= {id(p) for p in t.core.global_critic.parameters()}
-        ids2 = {id(p) for a in t.core2.actors for p in a.parameters()}
-        ids2 |= {id(p) for p in t.core2.global_critic.parameters()}
-        assert ids1.isdisjoint(ids2)
+        params1 = t.core.actor_stack.parameters() + t.core.global_critic.parameters()
+        params2 = t.core2.actor_stack.parameters() + t.core2.global_critic.parameters()
+        assert not any(np.shares_memory(p, q) for p in params1 for q in params2)
 
     def test_budget_and_reward_conservation_every_step(self):
         t = DoubleLayerTrainer(desk_env(35), small_settings(), "mimo-maddpg", 35)
@@ -244,8 +233,9 @@ class TestDoubleLayerTrainer:
         )
         n_s = t.env.n_s
         # antennas of the same user share parameters; different users do not
-        assert t.core2.actors[0] is t.core2.actors[n_s - 1]
-        assert t.core2.actors[0] is not t.core2.actors[n_s]
+        assert t.core2._group_of[0] == t.core2._group_of[n_s - 1]
+        assert t.core2._group_of[0] != t.core2._group_of[n_s]
+        assert len(t.core2.actor_stack.biases[0]) == t.env.params.k_ue
 
     def test_checkpoint_includes_both_layers(self):
         t = DoubleLayerTrainer(desk_env(37), small_settings(), "mimo-maddpg", 37)

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xlmimo.env import EnvParams, MdpTuple
 from xlmimo.harness.config import (
     ConfigError,
+    ExperimentConfig,
     config_hash,
     dump_config,
     load_config,
@@ -18,6 +21,7 @@ from xlmimo.harness.run import (
     run_experiment,
     sweep,
 )
+from xlmimo.marl.trainer import TrainerSettings
 from xlmimo.se import uniform_amplitudes
 
 TINY = dict(
@@ -60,6 +64,24 @@ class TestConfig:
         # desk-scale system
         assert (cfg.m_bs, cfg.k_ue) == (2, 2)
         assert (cfg.n_h_r * cfg.n_v_r, cfg.n_h_s * cfg.n_v_s) == (4, 2)
+
+    def test_shared_defaults_agree(self):
+        # the configuration repeats the defaults of the dataclasses it builds;
+        # these fields reach them derived, update_after through pool_size
+        cfg = ExperimentConfig()
+        derived = {"update_after": cfg.resolved_update_after, "noise_power": cfg.noise_power,
+                   "p_max": cfg.p_max, "mdp": cfg.mdp()}
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        compared = []
+        for lower in (TrainerSettings, EnvParams, MdpTuple):
+            default = lower()
+            for f in dataclasses.fields(lower):
+                if f.name in derived or f.name in names:
+                    want = derived[f.name] if f.name in derived else getattr(cfg, f.name)
+                    assert getattr(default, f.name) == want, (lower.__name__, f.name)
+                    compared.append(f.name)
+        # every TrainerSettings and MdpTuple field; all of EnvParams but its placement cap
+        assert len(compared) == 19 + 21 + 4
 
     def test_rejects_wide_spacing_naming_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -273,6 +273,15 @@ class TestCheckpoint:
         trainer.load_state_dict(state)
         assert trainer.state_dict() == state
 
+    def test_each_network_written_once(self):
+        cfg, trainer = trained(architecture="double", weight_sharing=True)
+        state = trainer.state_dict()["layers"]["2"]
+        for name, net in trainer.core2._nets().items():
+            shapes = [list(p.shape) for p in net.parameters()]
+            assert [leaf["shape"] for leaf in state[name]] == shapes
+        # one parameter set per user: its antennas share it
+        assert state["actor_stack"][0]["shape"][0] == cfg.k_ue < trainer.core2.n_agents
+
     def test_round_trip_keeps_every_bit(self):
         cfg, trainer = trained(architecture="double")
         for core in trainer._layers().values():
@@ -320,7 +329,7 @@ class TestCheckpoint:
 
     def test_rejects_other_k_ue(self):
         cfg, state = trained_state()
-        with pytest.raises(ValueError, match="actors"):
+        with pytest.raises(ValueError, match="layer 1 n_agents is 2; this configuration needs 3"):
             fresh_trainer(cfg, k_ue=cfg.k_ue + 1).load_state_dict(state)
 
     def test_rejects_other_scenario(self):

@@ -125,9 +125,9 @@ class TestShareGroups:
     def test_group_members_share_one_view(self):
         core = MarlCore(2, 4, 2, np.array([1.0]), small_settings(), resolve_variant("mimo-maddpg"),
                         0, share_groups=["a", "a", "b", "b"])
-        assert core.actors[0] is core.actors[1] and core.actors[1] is not core.actors[2]
-        assert core.local_critic_targets[2] is core.local_critic_targets[3]
+        np.testing.assert_array_equal(core._group_of, [0, 0, 1, 1])
         assert len(core.actor_stack.biases[0]) == 2
+        assert len(core.local_critic_target_stack.biases[0]) == 2
 
 
 class TestCriticLosses:
@@ -162,14 +162,14 @@ class TestCriticLosses:
 
     def test_local_mirrors_global(self):
         core = make_core(n_agents=2, gamma=0.99)
-        constant_critic(core.local_critics[0], 1.0)
-        constant_critic(core.local_critic_targets[0], 1.0)
+        constant_critic(core.local_critic_stack[0], 1.0)
+        constant_critic(core.local_critic_target_stack[0], 1.0)
         batch = fake_batch(core, 1)
         batch.rewards[0] = 0.5
         loss, grads = local_loss(core, batch, 0)
         assert loss == pytest.approx(0.2401, rel=1e-12)
-        constant_critic(core.local_critics[1], 0.0)
-        constant_critic(core.local_critic_targets[1], 0.0)
+        constant_critic(core.local_critic_stack[1], 0.0)
+        constant_critic(core.local_critic_target_stack[1], 0.0)
         b2 = fake_batch(core, 3)
         b2.rewards[:] = 0.0
         loss2, grads2 = local_loss(core, b2, 1)
@@ -181,8 +181,8 @@ class TestActorGradient:
     def test_constant_critic_zero_gradient(self):
         core = make_core(n_agents=2)
         constant_critic(core.global_critic, 3.0)
-        for c in core.local_critics:
-            constant_critic(c, -1.0)
+        for i in range(core.n_agents):
+            constant_critic(core.local_critic_stack[i], -1.0)
         grads = actor_grad(core, fake_batch(core), 0)
         assert all(np.allclose(g, 0.0) for g in grads)
 
@@ -193,19 +193,20 @@ class TestActorGradient:
 
         # straight-line evaluation of each brace
         i = 1
+        actor = Actor(core.actor_stack[i], core.ranges)
         n = len(batch.rewards)
         states_i = np.stack([s[i] for s in batch.states])
-        a01 = sigmoid(core.actors[i].mlp.forward(states_i))
+        a01 = sigmoid(actor.mlp.forward(states_i))
         joint = np.stack([core._joint_input(s, a) for s, a in zip(batch.states, batch.actions)])
         col = core.n_agents * core.state_dim + i * core.action_dim
         joint[:, col : col + core.action_dim] = a01
         _, in_g = core.global_critic.backward(joint, np.full((n, 1), 1.0 / n))
-        term_global = core.actors[i].backward_through_normalized(
+        term_global = actor.backward_through_normalized(
             states_i, in_g[:, col : col + core.action_dim]
         )
         local_x = np.concatenate([states_i, a01], axis=1)
-        _, in_l = core.local_critics[i].backward(local_x, np.full((n, 1), 1.0 / n))
-        term_local = core.actors[i].backward_through_normalized(
+        _, in_l = core.local_critic_stack[i].backward(local_x, np.full((n, 1), 1.0 / n))
+        term_local = actor.backward_through_normalized(
             states_i, in_l[:, core.state_dim :]
         )
         for c, g, l in zip(combined, term_global, term_local):
@@ -215,31 +216,32 @@ class TestActorGradient:
         core = make_core(n_agents=2, seed=5)
         batch = fake_batch(core, 5, seed=6)
         i = 0
+        actor = Actor(core.actor_stack[i], core.ranges)
         grads = actor_grad(core, batch, i)
 
         def objective():
             total = 0.0
             for state, action in zip(batch.states, batch.actions):
-                a01 = sigmoid(core.actors[i].mlp.forward(state[i]))
+                a01 = sigmoid(actor.mlp.forward(state[i]))
                 joint = core._joint_input(state, action)
                 col = core.n_agents * core.state_dim + i * core.action_dim
                 joint = joint.copy()
                 joint[col : col + core.action_dim] = a01
                 total += float(core.global_critic.forward(joint)[0])
                 local_x = np.concatenate([state[i], a01])
-                total += float(core.local_critics[i].forward(local_x)[0])
+                total += float(core.local_critic_stack[i].forward(local_x)[0])
             return total / len(batch.rewards)
 
         rng = np.random.default_rng(7)
-        direction = [rng.standard_normal(p.shape) for p in core.actors[i].parameters()]
+        direction = [rng.standard_normal(p.shape) for p in actor.parameters()]
         analytic = sum(float(np.sum(g * d)) for g, d in zip(grads, direction))
         eps = 1e-6
-        base = [p.copy() for p in core.actors[i].parameters()]
-        core.actors[i].mlp.set_parameters([p + eps * d for p, d in zip(base, direction)])
+        base = [p.copy() for p in actor.parameters()]
+        actor.mlp.set_parameters([p + eps * d for p, d in zip(base, direction)])
         up = objective()
-        core.actors[i].mlp.set_parameters([p - eps * d for p, d in zip(base, direction)])
+        actor.mlp.set_parameters([p - eps * d for p, d in zip(base, direction)])
         down = objective()
-        core.actors[i].mlp.set_parameters(base)
+        actor.mlp.set_parameters(base)
         assert analytic == pytest.approx((up - down) / (2 * eps), rel=1e-4, abs=1e-10)
 
 
@@ -248,17 +250,13 @@ class TestTrainEpisode:
         env = QuadraticBandit()
         trainer = Trainer(env, small_settings(lr_actor=0.0, lr_critic=0.0),
                           "mimo-maddpg", master_seed=1)
-        before = trainer.core.parameter_snapshot()
+        nets = [trainer.core.actor_stack, trainer.core.global_critic,
+                trainer.core.local_critic_stack]
+        before = [p.copy() for m in nets for p in m.parameters()]
         trainer.train_episode()
-        after = trainer.core.parameter_snapshot()
-        for b, a in zip(before["actors"], after["actors"]):
-            for pb, pa in zip(b, a):
-                np.testing.assert_array_equal(pb, pa)
-        for pb, pa in zip(before["global_critic"], after["global_critic"]):
+        after = [p for m in nets for p in m.parameters()]
+        for pb, pa in zip(before, after, strict=True):
             np.testing.assert_array_equal(pb, pa)
-        for b, a in zip(before["local_critics"], after["local_critics"]):
-            for pb, pa in zip(b, a):
-                np.testing.assert_array_equal(pb, pa)
 
     def test_fixed_seed_identical_metrics(self):
         runs = []
@@ -286,14 +284,10 @@ class TestTrainEpisode:
             m_b = t_b.train_episode()
             np.testing.assert_array_equal(np.asarray(m_a["actions"]), np.asarray(m_b["actions"]))
             np.testing.assert_array_equal(np.asarray(m_a["rewards"]), np.asarray(m_b["rewards"]))
-        for a, b in zip(t_a.core.parameter_snapshot()["actors"],
-                        t_b.core.parameter_snapshot()["actors"]):
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa, pb)
-        np.testing.assert_array_equal(
-            t_a.core.parameter_snapshot()["global_critic"][0],
-            t_b.core.parameter_snapshot()["global_critic"][0],
-        )
+        for pa, pb in zip(t_a.core.actor_stack.parameters(), t_b.core.actor_stack.parameters()):
+            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(t_a.core.global_critic.weights[0],
+                                      t_b.core.global_critic.weights[0])
 
     def test_bandit_learns_toward_optimum(self):
         env = QuadraticBandit(p_max=0.2, p_star=0.12)
@@ -582,14 +576,13 @@ class TestStackedCoreMatchesPerAgentReference:
             np.testing.assert_array_equal(core.replay.priorities, ref.replay.priorities)
             assert core.update() == ref.update()
             states = next_states
-        for name in ("actors", "actor_targets"):
-            for a, b in zip(getattr(core, name), getattr(ref, name)):
-                for pa, pb in zip(a.parameters(), b.parameters()):
-                    np.testing.assert_array_equal(pa, pb)
-        for name in ("local_critics", "local_critic_targets"):
-            assert len(getattr(core, name)) == len(getattr(ref, name))
-            for a, b in zip(getattr(core, name), getattr(ref, name)):
-                for pa, pb in zip(a.parameters(), b.parameters()):
+        for stack, nets in ((core.actor_stack, [a.mlp for a in ref.actors]),
+                            (core.actor_target_stack, [a.mlp for a in ref.actor_targets]),
+                            (core.local_critic_stack, ref.local_critics),
+                            (core.local_critic_target_stack, ref.local_critic_targets)):
+            assert (stack is None) == (not nets)
+            for i, net in enumerate(nets):
+                for pa, pb in zip(stack[core._group_of[i]].parameters(), net.parameters()):
                     np.testing.assert_array_equal(pa, pb)
         for name in ("global_critic", "global_critic_target"):
             for pa, pb in zip(getattr(core, name).parameters(), getattr(ref, name).parameters()):
