@@ -14,7 +14,7 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +41,10 @@ LSF_MODES = ("beta", "lsf")
 class MdpTuple:
     """Decision-process constants: reward thresholds and step factors."""
 
-    r_g: float = 0.01
-    r_b: float = 0.002
-    alpha: float = 0.2
-    beta_acc: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.beta_acc <= 1.0:
-            raise ValueError("beta_acc must exceed 1")
-        if self.r_b >= self.r_g:
-            raise ValueError("r_b must be below r_g")
+    r_g: float
+    r_b: float
+    alpha: float
+    beta_acc: float
 
 
 @dataclass
@@ -65,36 +57,33 @@ class WorldState:
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Physical and decision-process constants of the environment."""
+    """Physical and decision-process constants of the environment.
 
-    m_bs: int = 2
-    k_ue: int = 2
-    n_h_r: int = 2
-    n_v_r: int = 2
-    n_h_s: int = 2
-    n_v_s: int = 1
-    spacing_r: float = 1.0 / 3.0  # in wavelengths
-    spacing_s: float = 1.0 / 3.0
-    wavelength: float = 0.01
-    area: float = 1000.0
-    min_bs_spacing: float = 200.0
-    bs_height: float = 10.0
-    ue_height: float = 1.5
-    noise_power: float = 10 ** ((-69.0 - 30.0) / 10.0)
-    p_max: float = 0.2
-    d_max: float = 5.0
-    scenario: str = "static"
-    lsf_mode: str = "beta"  # mask used for rewards: "beta" or "lsf"
-    raw_kz: bool = False
-    fixed_placement: bool = False  # reuse the first drawn layout on every reset
-    mdp: MdpTuple = field(default_factory=MdpTuple)
+    Built from an ``ExperimentConfig``, which owns every default and check.
+    """
+
+    m_bs: int
+    k_ue: int
+    n_h_r: int
+    n_v_r: int
+    n_h_s: int
+    n_v_s: int
+    spacing_r: float  # in wavelengths
+    spacing_s: float
+    wavelength: float
+    area: float
+    min_bs_spacing: float
+    bs_height: float
+    ue_height: float
+    noise_power: float
+    p_max: float
+    d_max: float
+    scenario: str
+    lsf_mode: str  # mask used for rewards: "beta" or "lsf"
+    raw_kz: bool
+    fixed_placement: bool  # reuse the first drawn layout on every reset
+    mdp: MdpTuple
     max_placement_tries: int = 10_000
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.lsf_mode not in LSF_MODES:
-            raise ValueError(f"lsf_mode must be one of {LSF_MODES}")
 
 
 def wrap_coords(positions: np.ndarray, area: float) -> np.ndarray:

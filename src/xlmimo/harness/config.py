@@ -12,9 +12,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import dataclass
 
 from ..env import LSF_MODES, SCENARIOS, EnvParams, MdpTuple
+from ..marl.nets import SOFT_DIRECTIONS
+from ..marl.replay import PRIORITY_RULES
 from ..marl.trainer import TrainerSettings, VARIANTS
 
 __all__ = [
@@ -31,8 +35,6 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 
 ARCHITECTURES = ("single", "double")
-PRIORITY_RULES = ("ranked", "simple")
-SOFT_DIRECTIONS = ("standard", "reversed")
 
 
 class ConfigError(ValueError):
@@ -74,7 +76,7 @@ class ExperimentConfig:
     weight_sharing: bool = False
     fixed_placement: bool = False
     # networks and training
-    hidden: tuple = (128, 64)
+    hidden: tuple[int, int] = (128, 64)
     lr_actor: float = 0.01
     lr_critic: float = 0.01
     tau: float = 0.01
@@ -114,55 +116,24 @@ class ExperimentConfig:
         return self.pool_size if self.update_after is None else self.update_after
 
     def mdp(self) -> MdpTuple:
-        return MdpTuple(r_g=self.r_g, r_b=self.r_b, alpha=self.alpha, beta_acc=self.beta_acc)
+        return _lower(MdpTuple, self)
 
     def env_params(self) -> EnvParams:
-        return EnvParams(
-            m_bs=self.m_bs,
-            k_ue=self.k_ue,
-            n_h_r=self.n_h_r,
-            n_v_r=self.n_v_r,
-            n_h_s=self.n_h_s,
-            n_v_s=self.n_v_s,
-            spacing_r=self.spacing_r,
-            spacing_s=self.spacing_s,
-            wavelength=self.wavelength,
-            area=self.area,
-            min_bs_spacing=self.min_bs_spacing,
-            bs_height=self.bs_height,
-            ue_height=self.ue_height,
-            noise_power=self.noise_power,
-            p_max=self.p_max,
-            d_max=self.d_max,
-            scenario=self.scenario,
-            lsf_mode=self.lsf_mode,
-            raw_kz=self.raw_kz,
-            fixed_placement=self.fixed_placement,
-            mdp=self.mdp(),
-        )
+        return _lower(EnvParams, self, noise_power=self.noise_power, p_max=self.p_max,
+                      mdp=self.mdp())
 
     def trainer_settings(self) -> TrainerSettings:
-        return TrainerSettings(
-            episodes=self.episodes,
-            steps=self.steps,
-            hidden=tuple(self.hidden),
-            lr_actor=self.lr_actor,
-            lr_critic=self.lr_critic,
-            tau=self.tau,
-            soft_update_direction=self.soft_update_direction,
-            clip_norm=self.clip_norm,
-            gamma=self.gamma,
-            buffer_capacity=self.buffer_capacity,
-            pool_size=self.pool_size,
-            update_after=self.resolved_update_after,
-            batch_global=self.batch_global,
-            batch_local=self.batch_local,
-            noise_start=self.noise_start,
-            noise_end=self.noise_end,
-            priority_rule=self.priority_rule,
-            priority_mu=self.priority_mu,
-            priority_nu=self.priority_nu,
-        )
+        return _lower(TrainerSettings, self, update_after=self.resolved_update_after)
+
+
+def _lower(record, cfg: ExperimentConfig, **derived):
+    """A lower-layer ``record`` built from ``cfg``'s fields of the same name.
+
+    ``derived`` supplies the fields the config holds in other units or
+    leaves unresolved; it wins over a config field of the same name.
+    """
+    shared = {f.name for f in dataclasses.fields(record)} & _FIELD_NAMES
+    return record(**{**{name: getattr(cfg, name) for name in shared}, **derived})
 
 
 PRESETS = {
@@ -180,6 +151,8 @@ PRESETS = {
 }
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# each field's annotation is its only type declaration
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _POSITIVE_INTS = (
     "m_bs", "k_ue", "n_h_r", "n_v_r", "n_h_s", "n_v_s",
     "buffer_capacity", "pool_size", "batch_global", "batch_local",
@@ -190,17 +163,58 @@ _POSITIVE_FLOATS = (
     "p_max_mw", "bandwidth_mhz", "d_max", "tau", "clip_norm", "delta_conv",
     "priority_mu",
 )
+_NONNEGATIVE = ("lr_actor", "lr_critic", "noise_end", "seed")
+_CHOICES = {
+    "scenario": SCENARIOS,
+    "architecture": ARCHITECTURES,
+    "variant": tuple(sorted(VARIANTS)),
+    "lsf_mode": LSF_MODES,
+    "priority_rule": PRIORITY_RULES,
+    "soft_update_direction": SOFT_DIRECTIONS,
+}
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has the declared type ``hint``.
+
+    A bool is no number, an int is a valid float, and a float must be finite.
+    """
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return _has_type(value, int) or isinstance(value, float) and math.isfinite(value)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if args:  # a union such as int | None
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, hint)
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    for key, hint in _FIELD_TYPES.items():
+        v = getattr(cfg, key)
+        if not _has_type(v, hint):
+            name = "a finite number" if hint is float else (
+                hint.__name__ if isinstance(hint, type) else hint)
+            raise ConfigError(f"{key}: expected {name}, got {v!r}")
     for key in _POSITIVE_INTS:
         v = getattr(cfg, key)
-        if not isinstance(v, int) or v < 1:
+        if v < 1:
             raise ConfigError(f"{key}: must be a positive integer, got {v!r}")
     for key in _POSITIVE_FLOATS:
         v = getattr(cfg, key)
         if not v > 0:
             raise ConfigError(f"{key}: must be positive, got {v!r}")
+    for key in _NONNEGATIVE:
+        v = getattr(cfg, key)
+        if v < 0:
+            raise ConfigError(f"{key}: must be nonnegative, got {v!r}")
+    for key, choices in _CHOICES.items():
+        v = getattr(cfg, key)
+        if v not in choices:
+            raise ConfigError(f"{key}: expected one of {choices}, got {v!r}")
     for key in ("spacing_r", "spacing_s"):
         v = getattr(cfg, key)
         if not 0 < v < 0.5:
@@ -215,34 +229,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"beta_acc: must exceed 1, got {cfg.beta_acc!r}")
     if cfg.r_b >= cfg.r_g:
         raise ConfigError(f"r_b: must be below r_g ({cfg.r_b!r} >= {cfg.r_g!r})")
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: expected one of {SCENARIOS}, got {cfg.scenario!r}")
-    if cfg.architecture not in ARCHITECTURES:
-        raise ConfigError(
-            f"architecture: expected one of {ARCHITECTURES}, got {cfg.architecture!r}"
-        )
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"variant: expected one of {sorted(VARIANTS)}, got {cfg.variant!r}")
-    if cfg.lsf_mode not in LSF_MODES:
-        raise ConfigError(f"lsf_mode: expected one of {LSF_MODES}, got {cfg.lsf_mode!r}")
-    if cfg.priority_rule not in PRIORITY_RULES:
-        raise ConfigError(
-            f"priority_rule: expected one of {PRIORITY_RULES}, got {cfg.priority_rule!r}"
-        )
-    if cfg.soft_update_direction not in SOFT_DIRECTIONS:
-        raise ConfigError(
-            f"soft_update_direction: expected one of {SOFT_DIRECTIONS}, "
-            f"got {cfg.soft_update_direction!r}"
-        )
     if not 0.0 < cfg.priority_nu < 1.0:
         raise ConfigError(f"priority_nu: must lie in (0, 1), got {cfg.priority_nu!r}")
-    if cfg.noise_end < 0 or cfg.noise_start < cfg.noise_end:
+    if cfg.noise_start < cfg.noise_end:
         raise ConfigError(
-            f"noise_start/noise_end: need noise_start >= noise_end >= 0, "
-            f"got {cfg.noise_start!r}/{cfg.noise_end!r}"
+            f"noise_start: must be at least noise_end ({cfg.noise_start!r} < {cfg.noise_end!r})"
         )
-    if cfg.lr_actor < 0 or cfg.lr_critic < 0:
-        raise ConfigError("lr_actor/lr_critic: learning rates must be nonnegative")
     if not 0.0 < cfg.tau <= 1.0:
         raise ConfigError(f"tau: must lie in (0, 1], got {cfg.tau!r}")
     if cfg.update_after is not None and cfg.update_after < 1:
@@ -251,12 +243,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"fractional_exponent: must lie in [0, 1], got {cfg.fractional_exponent!r}"
         )
-    if not isinstance(cfg.hidden, tuple) or len(cfg.hidden) != 2 or any(
-        not isinstance(h, int) or h < 1 for h in cfg.hidden
-    ):
+    if any(h < 1 for h in cfg.hidden):
         raise ConfigError(f"hidden: expected two positive layer widths, got {cfg.hidden!r}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
-        raise ConfigError(f"seed: must be a nonnegative integer, got {cfg.seed!r}")
     return cfg
 
 
@@ -270,20 +258,16 @@ def make_config(data: dict | None = None, preset: str = "desk") -> ExperimentCon
         if "wavelength" in data:
             raise ConfigError("carrier_ghz: give either carrier_ghz or wavelength, not both")
         freq = data.pop("carrier_ghz")
-        if not freq > 0:
-            raise ConfigError(f"carrier_ghz: must be positive, got {freq!r}")
+        if not (_has_type(freq, float) and freq > 0):
+            raise ConfigError(f"carrier_ghz: must be a positive number, got {freq!r}")
         data["wavelength"] = SPEED_OF_LIGHT / (freq * 1e9)
     merged.update(data)
     unknown = set(merged) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    if "hidden" in merged:
+    if isinstance(merged.get("hidden"), list):  # JSON has no tuples
         merged["hidden"] = tuple(merged["hidden"])
-    try:
-        cfg = ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return _validate(cfg)
+    return _validate(ExperimentConfig(**merged))
 
 
 def replace_config(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
@@ -314,9 +298,7 @@ def load_config(path, preset: str = "desk", overrides: dict | None = None) -> Ex
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON text; load(dump(cfg)) reproduces cfg exactly."""
-    data = dataclasses.asdict(cfg)
-    data["hidden"] = list(data["hidden"])
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -325,7 +307,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     Runs of a seed sweep share this hash.
     """
     data = dataclasses.asdict(cfg)
-    data["hidden"] = list(data["hidden"])
     data.pop("seed")
     text = json.dumps(data, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +52,11 @@ SWEEP_COLUMNS = [
     "final_sum_se_std",
 ]
 
-SWEEP_AXES = {
-    "n_h_s": int,
-    "n_h_r": int,
-    "spacing_s": float,
-    "spacing_r": float,
-    "k_ue": int,
-    "m_bs": int,
-    "seed": int,
-}
+# each value is read as its field's declared type
+SWEEP_AXES = ("n_h_s", "n_h_r", "spacing_s", "spacing_r", "k_ue", "m_bs", "seed")
 
 
-def fractional_baseline(betas, exponent: float = 0.5, p_max: float = 0.2) -> np.ndarray:
+def fractional_baseline(betas, exponent: float, p_max: float) -> np.ndarray:
     """Per-user budgets inversely weighted by aggregate fading.
 
     The weakest user transmits at ``p_max``; a user with aggregate fading
@@ -271,13 +265,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, log_trajectories: bool = Fals
     return summary
 
 
-def sweep(cfg: ExperimentConfig, axis: str, values, out_dir,
-          log_trajectories: bool = False) -> list[dict]:
+def sweep(cfg: ExperimentConfig, axis: str, values, out_dir) -> list[dict]:
     """One run per axis value; merged results in sweep.csv."""
     axis = "seed" if axis == "seeds" else axis
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: expected one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    cast = SWEEP_AXES[axis]
+    cast = typing.get_type_hints(ExperimentConfig)[axis]
     points = []  # every point is validated before the first one trains
     for value in values:
         try:
@@ -290,8 +283,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (value, sub_cfg) in enumerate(points):
-        summary = run_experiment(sub_cfg, out / f"point_{i:03d}",
-                                 log_trajectories=log_trajectories)
+        summary = run_experiment(sub_cfg, out / f"point_{i:03d}")
         # the summary holds every column but the sweep point's own two
         rows.append({"axis": axis, "value": value,
                      **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})

@@ -216,7 +216,11 @@ def sgd_step(net, grads, lr: float, maximize: bool = False):
     net.set_parameters([p + sign * lr * g for p, g in zip(params, grads)])
 
 
-def soft_update(current, target, tau: float, direction: str = "standard"):
+# the blends soft_update dispatches on
+SOFT_DIRECTIONS = ("standard", "reversed")
+
+
+def soft_update(current, target, tau: float, direction: str):
     """Blend current parameters into the target network in place.
 
     ``standard``: target <- tau*current + (1-tau)*target.

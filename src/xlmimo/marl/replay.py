@@ -23,6 +23,9 @@ __all__ = [
     "fill_extraction_pool",
 ]
 
+# the rules refresh_priorities dispatches on
+PRIORITY_RULES = ("ranked", "simple")
+
 
 class Batch(NamedTuple):
     """Transitions drawn for one critic: joint arrays plus that critic's rewards.
@@ -126,11 +129,11 @@ class ReplayBuffer:
         self.priorities[:, t] = 0.0
         self.size += 1
 
-    def refresh_priorities(self, rule: str = "ranked", mu: float = 1.0, nu: float = 0.01):
+    def refresh_priorities(self, rule: str, mu: float, nu: float):
         """Recompute every critic's priorities from its stored losses."""
         if self.size == 0:
             return
-        if rule not in ("ranked", "simple"):
+        if rule not in PRIORITY_RULES:
             raise ValueError(f"unknown priority rule {rule!r}")
         n = self.size
         if rule == "ranked":

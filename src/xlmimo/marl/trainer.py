@@ -95,25 +95,27 @@ def resolve_variant(variant) -> VariantSpec:
 
 @dataclass(frozen=True)
 class TrainerSettings:
-    episodes: int = 200
-    steps: int = 100
-    hidden: tuple = (128, 64)
-    lr_actor: float = 0.01
-    lr_critic: float = 0.01
-    tau: float = 0.01
-    soft_update_direction: str = "standard"
-    clip_norm: float = 0.5
-    gamma: float = 0.99
-    buffer_capacity: int = 1024
-    pool_size: int = 512
-    update_after: int = 512
-    batch_global: int = 64
-    batch_local: int = 64
-    noise_start: float = 0.2
-    noise_end: float = 0.01
-    priority_rule: str = "ranked"
-    priority_mu: float = 1.0
-    priority_nu: float = 0.01
+    """Training hyperparameters of one control layer, built from an ``ExperimentConfig``."""
+
+    episodes: int
+    steps: int
+    hidden: tuple
+    lr_actor: float
+    lr_critic: float
+    tau: float
+    soft_update_direction: str
+    clip_norm: float
+    gamma: float
+    buffer_capacity: int
+    pool_size: int
+    update_after: int
+    batch_global: int
+    batch_local: int
+    noise_start: float
+    noise_end: float
+    priority_rule: str
+    priority_mu: float
+    priority_nu: float
 
 
 class MarlCore:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to get one line per
 criterion.  Criteria 9 and 10 train agents and take a few minutes.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -15,11 +16,11 @@ from xlmimo.channel import sample_ssf_batch
 from xlmimo.dlpc import split_reward
 from xlmimo.env import CellFreeEnv
 from xlmimo.harness.cli import main as cli_main
-from xlmimo.harness.config import make_config
+from xlmimo.harness.config import ExperimentConfig, make_config
 from xlmimo.harness.run import build_trainer, detect_convergence, evaluate_greedy
 from xlmimo.marl.nets import Actor, Mlp, clip_gradients, global_norm, soft_update
 from xlmimo.marl.replay import priority_ranked, priority_simple
-from xlmimo.marl.trainer import Trainer, TrainerSettings, VariantSpec
+from xlmimo.marl.trainer import Trainer, VariantSpec
 from xlmimo.se import se_closed_form_mr, se_monte_carlo, uniform_amplitudes
 from xlmimo.seeding import stream
 
@@ -296,9 +297,9 @@ class TestC08DegenerateEquivalence:
     def test_mimo_reduces_to_maddpg(self):
         from tests.test_trainer import QuadraticBandit
 
-        settings = TrainerSettings(
-            episodes=3, steps=12, hidden=(12, 6), buffer_capacity=64,
-            pool_size=16, update_after=8, batch_global=8, batch_local=8,
+        settings = dataclasses.replace(
+            ExperimentConfig().trainer_settings(), episodes=3, steps=12, hidden=(12, 6),
+            buffer_capacity=64, pool_size=16, update_after=8, batch_global=8, batch_local=8,
         )
         knobs_off = VariantSpec(local_critic=True, prioritized=False, ddpg_weight=0.0)
         t_a = Trainer(QuadraticBandit(), settings, knobs_off, master_seed=16)
@@ -323,10 +324,10 @@ class TestC09BanditSanity:
 
         t0 = time.perf_counter()
         env = QuadraticBandit(p_max=0.2, p_star=0.12)
-        settings = TrainerSettings(
-            episodes=300, steps=10, hidden=(64, 32), lr_actor=0.01, lr_critic=0.01,
-            gamma=0.9, buffer_capacity=256, pool_size=64, update_after=64,
-            batch_global=32, batch_local=32, noise_start=0.3, noise_end=0.02,
+        settings = dataclasses.replace(
+            ExperimentConfig().trainer_settings(), episodes=300, steps=10, hidden=(64, 32),
+            lr_actor=0.01, lr_critic=0.01, gamma=0.9, buffer_capacity=256, pool_size=64,
+            update_after=64, batch_global=32, batch_local=32, noise_start=0.3, noise_end=0.02,
         )
         trainer = Trainer(env, settings, "mimo-maddpg", master_seed=0)
         for _ in range(settings.episodes):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from xlmimo.channel import (
     wave_vector_matrix,
     wavenumber_lattice,
 )
-from xlmimo.env import CellFreeEnv, EnvParams
+from xlmimo.env import CellFreeEnv
+from xlmimo.harness.config import ExperimentConfig
 from xlmimo.se import draw_channel_grid
 
 WL = 0.01  # 30 GHz carrier
@@ -312,8 +314,10 @@ class TestMakeChannelStats:
         # a station 4 mm above its user: the 2 x 2 surfaces' apertures
         # exceed the center distance, so beta is the mean lsf coefficient
         env = CellFreeEnv(
-            EnvParams(m_bs=1, k_ue=1, n_h_s=2, n_v_s=2, wavelength=WL, bs_height=0.004,
-                      ue_height=0.0),
+            dataclasses.replace(
+                ExperimentConfig().env_params(), m_bs=1, k_ue=1, n_h_s=2, n_v_s=2,
+                wavelength=WL, bs_height=0.004, ue_height=0.0,
+            ),
             np.random.default_rng(0),
         )
         env.set_world([[500.0, 500.0, 0.004]], [[500.0, 500.0, 0.0]])

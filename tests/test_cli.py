@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from xlmimo.harness.cli import build_parser, main
+from xlmimo.harness.config import _CHOICES, _NONNEGATIVE, _POSITIVE_FLOATS, _POSITIVE_INTS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -66,6 +67,48 @@ TINY = {
 }
 
 
+# (config file text, the key its error names): one input per branch of the
+# configuration checks, then wrong JSON types and non-finite numbers
+BAD_CONFIGS = (
+    [(json.dumps({key: 0}), key) for key in _POSITIVE_INTS + _POSITIVE_FLOATS]
+    + [(json.dumps({key: -1}), key) for key in _NONNEGATIVE]
+    + [(json.dumps({key: "nope"}), key) for key in _CHOICES]
+    + [(json.dumps({key: 1}), key) for key in _CHOICES]
+    + [
+        ('{"spacing_r": 0.5}', "spacing_r"),
+        ('{"spacing_s": 0}', "spacing_s"),
+        ('{"gamma": 1.0}', "gamma"),
+        ('{"alpha": -0.1}', "alpha"),
+        ('{"beta_acc": 1}', "beta_acc"),
+        ('{"r_g": 0.002}', "r_b"),
+        ('{"priority_nu": 1.0}', "priority_nu"),
+        ('{"noise_start": 0.001}', "noise_start"),
+        ('{"tau": 1.5}', "tau"),
+        ('{"update_after": 0}', "update_after"),
+        ('{"fractional_exponent": 1.5}', "fractional_exponent"),
+        ('{"hidden": [64, 0]}', "hidden"),
+        ('{"hidden": [64]}', "hidden"),
+        ('{"carrier_ghz": 0}', "carrier_ghz"),
+        ('{"weight_sharing": "no"}', "weight_sharing"),
+        ('{"raw_kz": 1}', "raw_kz"),
+        ('{"fixed_placement": null}', "fixed_placement"),
+        ('{"m_bs": true}', "m_bs"),
+        ('{"gamma": true}', "gamma"),
+        ('{"update_after": 2.5}', "update_after"),
+        ('{"hidden": [64, true]}', "hidden"),
+        ('{"hidden": 5}', "hidden"),
+        ('{"noise_dbm": "x"}', "noise_dbm"),
+        ('{"gamma": "0.5"}', "gamma"),
+        ('{"carrier_ghz": "30"}', "carrier_ghz"),
+        ('{"noise_dbm": NaN}', "noise_dbm"),
+        ('{"noise_start": NaN}', "noise_start"),
+        ('{"lr_actor": NaN}', "lr_actor"),
+        ('{"r_g": NaN}', "r_g"),
+        ('{"area": Infinity}', "area"),
+    ]
+)
+
+
 @pytest.fixture
 def tiny_config_path(tmp_path):
     path = tmp_path / "tiny.json"
@@ -97,6 +140,15 @@ class TestExitCodes:
         bad.write_text(json.dumps({"spacing_r": 0.9}))
         assert main(["dump-config", "--config", str(bad)]) == 2
         assert "spacing_r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", BAD_CONFIGS)
+    def test_bad_value_is_2_naming_key(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["dump-config", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {key}:")
+        assert captured.out == ""
 
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["dump-config", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlmimo.dlpc import DoubleLayerTrainer, broadcast_budget, layer2_allocate, split_reward
-from xlmimo.env import CellFreeEnv, EnvParams
+from xlmimo.env import CellFreeEnv
+from xlmimo.harness.config import ExperimentConfig
 from xlmimo.marl.replay import Batch
-from xlmimo.marl.trainer import MarlCore, Trainer, TrainerSettings, resolve_variant
+from xlmimo.marl.trainer import MarlCore, Trainer, resolve_variant
 from xlmimo.seeding import stream
 
 
@@ -24,13 +26,13 @@ def small_settings(**over):
         batch_local=6,
     )
     base.update(over)
-    return TrainerSettings(**base)
+    return dataclasses.replace(ExperimentConfig().trainer_settings(), **base)
 
 
 def desk_env(seed, n_h_s=2, n_v_s=1, scenario="static", **over):
-    params = EnvParams(
-        m_bs=1, k_ue=2, n_h_r=2, n_v_r=1, n_h_s=n_h_s, n_v_s=n_v_s,
-        scenario=scenario, **over,
+    params = dataclasses.replace(
+        ExperimentConfig().env_params(), m_bs=1, k_ue=2, n_h_r=2, n_v_r=1, n_h_s=n_h_s,
+        n_v_s=n_v_s, scenario=scenario, **over,
     )
     return CellFreeEnv(params, stream(seed, "env"))
 

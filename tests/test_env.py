@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from itertools import combinations
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from xlmimo.channel import lsf_matrix
 from xlmimo.env import (
     CellFreeEnv,
-    EnvParams,
     MdpTuple,
     predictive_limit,
     torus_delta,
@@ -18,12 +18,17 @@ from xlmimo.env import (
     wrap_coords,
 )
 from xlmimo import env as env_module
+from xlmimo.harness.config import ExperimentConfig
 from xlmimo.se import se_closed_form_mr, uniform_amplitudes
 
 
 def make_env(seed=0, **overrides):
-    params = EnvParams(**overrides)
+    params = dataclasses.replace(ExperimentConfig().env_params(), **overrides)
     return CellFreeEnv(params, np.random.default_rng(seed))
+
+
+def mdp_tuple(**overrides):
+    return dataclasses.replace(ExperimentConfig().mdp(), **overrides)
 
 
 def static_actions(env, power=None):
@@ -36,27 +41,17 @@ def mobile_actions(env, power=None, step=0.0, angle=0.0):
     return np.tile([p, step, angle], (env.n_agents, 1))
 
 
-class TestMdpTuple:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MdpTuple(alpha=1.5)
-        with pytest.raises(ValueError):
-            MdpTuple(beta_acc=0.9)
-        with pytest.raises(ValueError):
-            MdpTuple(r_g=0.1, r_b=0.2)
-
-
 class TestPredictiveLimit:
     def test_good_boundary_decelerates(self):
         t = MdpTuple(r_g=1.0, r_b=0.1, alpha=0.2, beta_acc=2.0)
         assert predictive_limit(1.0, 10.0, t) == pytest.approx(2.0)
 
     def test_identity_branch(self):
-        t = MdpTuple(r_g=1.0, r_b=0.1)
+        t = mdp_tuple(r_g=1.0, r_b=0.1)
         assert predictive_limit(0.5, 7.3, t) == 7.3
 
     def test_bad_boundary_accelerates(self):
-        t = MdpTuple(r_g=1.0, r_b=0.1, beta_acc=2.0)
+        t = mdp_tuple(r_g=1.0, r_b=0.1, beta_acc=2.0)
         assert predictive_limit(0.1, 3.0, t) == pytest.approx(6.0)
 
 

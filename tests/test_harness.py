@@ -65,23 +65,43 @@ class TestConfig:
         assert (cfg.m_bs, cfg.k_ue) == (2, 2)
         assert (cfg.n_h_r * cfg.n_v_r, cfg.n_h_s * cfg.n_v_s) == (4, 2)
 
-    def test_shared_defaults_agree(self):
-        # the configuration repeats the defaults of the dataclasses it builds;
-        # these fields reach them derived, update_after through pool_size
-        cfg = ExperimentConfig()
-        derived = {"update_after": cfg.resolved_update_after, "noise_power": cfg.noise_power,
-                   "p_max": cfg.p_max, "mdp": cfg.mdp()}
-        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        compared = []
-        for lower in (TrainerSettings, EnvParams, MdpTuple):
-            default = lower()
-            for f in dataclasses.fields(lower):
-                if f.name in derived or f.name in names:
-                    want = derived[f.name] if f.name in derived else getattr(cfg, f.name)
-                    assert getattr(default, f.name) == want, (lower.__name__, f.name)
-                    compared.append(f.name)
-        # every TrainerSettings and MdpTuple field; all of EnvParams but its placement cap
-        assert len(compared) == 19 + 21 + 4
+    def test_lower_records_are_built_from_config(self):
+        # only the configuration declares defaults; on a config that differs
+        # from them everywhere, every field of a lower record is the config
+        # field of the same name or, for these four, a derived value
+        other = dict(
+            m_bs=3, k_ue=4, n_h_r=3, n_v_r=1, n_h_s=1, n_v_s=2, spacing_r=0.25,
+            spacing_s=0.3, wavelength=0.02, area=500.0, min_bs_spacing=100.0,
+            bs_height=12.0, ue_height=1.0, noise_dbm=-80.0, p_max_mw=100.0, d_max=3.0,
+            scenario="dynamic", lsf_mode="lsf", raw_kz=True, fixed_placement=True,
+            r_g=0.02, r_b=0.001, alpha=0.3, beta_acc=1.5, episodes=7, steps=9,
+            hidden=[16, 8], lr_actor=0.002, lr_critic=0.003, tau=0.05,
+            soft_update_direction="reversed", clip_norm=1.5, gamma=0.9, buffer_capacity=99,
+            pool_size=33, update_after=11, batch_global=5, batch_local=4, noise_start=0.3,
+            noise_end=0.05, priority_rule="simple", priority_mu=2.0, priority_nu=0.2,
+        )
+        cfg = make_config(other)
+        default = ExperimentConfig()
+        assert all(getattr(cfg, key) != getattr(default, key) for key in other)
+        derived = {
+            "noise_power": 10.0 ** ((-80.0 - 30.0) / 10.0),
+            "p_max": 0.1,
+            "update_after": 11,
+            "mdp": MdpTuple(r_g=0.02, r_b=0.001, alpha=0.3, beta_acc=1.5),
+        }
+        compared = 0
+        for record, built in ((TrainerSettings, cfg.trainer_settings()),
+                              (EnvParams, cfg.env_params()), (MdpTuple, cfg.mdp())):
+            for f in dataclasses.fields(record):
+                if f.name == "max_placement_tries":  # a safety cap, not a config field
+                    continue
+                assert f.default is f.default_factory is dataclasses.MISSING, f.name
+                want = derived[f.name] if f.name in derived else getattr(cfg, f.name)
+                assert getattr(built, f.name) == want, (record.__name__, f.name)
+                compared += 1
+        assert compared == 19 + 21 + 4
+        # an unset update_after resolves to the pool size
+        assert make_config({"pool_size": 7}).trainer_settings().update_after == 7
 
     def test_rejects_wide_spacing_naming_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -124,6 +144,10 @@ class TestConfig:
             ({"gamma": 1.5}, "gamma"),
             ({"beta_acc": 0.5}, "beta_acc"),
             ({"r_g": 0.01, "r_b": 0.02}, "r_b"),
+            ({"alpha": 1.5}, "alpha"),
+            ({"beta_acc": 0.9}, "beta_acc"),
+            ({"r_g": 0.1, "r_b": 0.2}, "r_b"),
+            ({"lsf_mode": "dense"}, "lsf_mode"),
             ({"scenario": "warp"}, "scenario"),
             ({"variant": "ppo"}, "variant"),
             ({"m_bs": 0}, "m_bs"),

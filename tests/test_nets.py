@@ -242,7 +242,7 @@ class TestSoftUpdate:
     def test_rejects_bad_args(self):
         cur, tgt = self._pair()
         with pytest.raises(ValueError):
-            soft_update(cur, tgt, 0.0)
+            soft_update(cur, tgt, 0.0, "standard")
         with pytest.raises(ValueError, match="direction"):
             soft_update(cur, tgt, 0.5, "sideways")
 

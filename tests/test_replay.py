@@ -108,7 +108,7 @@ class TestReplayBuffer:
         buf = store(capacity=4)
         for loss in [1.0, 3.0]:
             add(buf, loss=loss)
-        buf.refresh_priorities("simple")
+        buf.refresh_priorities("simple", 1.0, 0.01)
         np.testing.assert_allclose(buf.priorities[:, :2], [[0.25, 0.75]] * 2)
         buf.refresh_priorities("ranked", mu=1.0, nu=0.01)
         np.testing.assert_allclose(buf.priorities[:, :2].sum(axis=1), 1.0 + 2 * 0.01)
@@ -153,7 +153,7 @@ class TestVectorisedRefresh:
         for c in range(9):
             expect = per_critic_ranked(buf.losses[c, :n], buf.counts[c, :n], mu, nu)
             np.testing.assert_array_equal(buf.priorities[c, :n], expect)
-        buf.refresh_priorities("simple")
+        buf.refresh_priorities("simple", 1.0, 0.01)
         for c in range(9):
             np.testing.assert_array_equal(buf.priorities[c, :n],
                                           per_critic_simple(buf.losses[c, :n]))
@@ -174,7 +174,7 @@ class TestFillExtractionPool:
         buf = store(capacity=10)
         for loss in [1.0, 2.0, 3.0]:
             add(buf, loss=loss)
-        buf.refresh_priorities("ranked")
+        buf.refresh_priorities("ranked", 1.0, 0.01)
         pool = fill_extraction_pool(buf, 0, 8, np.random.default_rng(0))
         assert set(pool.tolist()) == {0, 1, 2}
 
@@ -182,7 +182,7 @@ class TestFillExtractionPool:
         buf = store(capacity=10)
         for loss in [1.0, 2.0]:
             add(buf, loss=loss)
-        buf.refresh_priorities("ranked")
+        buf.refresh_priorities("ranked", 1.0, 0.01)
         fill_extraction_pool(buf, 0, 2, np.random.default_rng(0))
         np.testing.assert_array_equal(buf.counts[0, :2], [1, 1])
 
@@ -190,7 +190,7 @@ class TestFillExtractionPool:
         buf = store(capacity=10, n_agents=2)
         for loss in [1.0, 2.0, 3.0]:
             add(buf, loss=loss)
-        buf.refresh_priorities("ranked")
+        buf.refresh_priorities("ranked", 1.0, 0.01)
         pool = fill_extraction_pool(buf, 2, 2, np.random.default_rng(0))
         expected = np.zeros((3, 10), dtype=int)
         expected[2, pool] = 1
@@ -215,7 +215,7 @@ class TestFillExtractionPool:
         buf = store(capacity=2)
         add(buf, loss=100.0)
         add(buf, loss=1e-9)
-        buf.refresh_priorities("ranked")
+        buf.refresh_priorities("ranked", 1.0, 0.01)
         seen = {int(fill_extraction_pool(buf, 0, 1, rng, prioritized=False)[0]) for _ in range(200)}
         assert seen == {0, 1}
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from xlmimo.harness.config import ExperimentConfig
 from xlmimo.marl.nets import Actor, Mlp, global_norm, sgd_step, sigmoid, soft_update
 from xlmimo.marl.replay import (
     Batch,
@@ -15,7 +17,6 @@ from xlmimo.seeding import stream
 from xlmimo.marl.trainer import (
     MarlCore,
     Trainer,
-    TrainerSettings,
     VariantSpec,
     resolve_variant,
 )
@@ -58,7 +59,7 @@ def small_settings(**over):
         batch_local=8,
     )
     base.update(over)
-    return TrainerSettings(**base)
+    return dataclasses.replace(ExperimentConfig().trainer_settings(), **base)
 
 
 def constant_critic(critic: Mlp, value: float):
