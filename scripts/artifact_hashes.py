@@ -4,10 +4,10 @@ The grid covers variant x architecture x scenario x lsf_mode x geometry
 (the ``desk`` preset and the C10 trend-lab geometry), with
 ``weight_sharing`` on every third run, then both architectures under both
 lsf modes on a wide-surface geometry whose N_r * N_s is at least
-``xlmimo.se.THREAD_MIN_DIM``, so that its closed form runs on the thread
-pool.  Each run trains with trajectories and evaluates its checkpoint;
-the first run of each geometry evaluates it once more with
-``eval --draws 3``; every (geometry, lsf_mode, power rule) pair is
+``xlmimo.se.FACTORED_MIN_DIM``, so that its closed form takes the
+Kronecker-factored moments.  Each run trains with trajectories and
+evaluates its checkpoint; the first run of each geometry evaluates it once
+more with ``eval --draws 3``; every (geometry, lsf_mode, power rule) pair is
 simulated with geometry dump; a few seeded sweeps close the list.
 ``timing.json`` is wall-clock data and is skipped; the input configs are
 listed too.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,18 +93,36 @@ class WavenumberLattice:
 class ChannelStats:
     """Small-scale statistics shared by every BS-UE link of one system.
 
-    ``u_r``/``u_s`` are the receive/transmit wave-vector matrices, ``v_r``/
-    ``v_s`` the per-lattice-point standard deviations (already scaled by the
-    square root of the antenna count) and ``corr`` the full covariance of the
-    vectorized small-scale fading.  They depend only on the two surfaces'
-    shapes; a link's large-scale mask is kept apart from them.
+    ``u_r``/``u_s`` are the receive/transmit wave-vector matrices and
+    ``v_r``/``v_s`` the per-lattice-point standard deviations (already scaled
+    by the square root of the antenna count).  They depend only on the two
+    surfaces' shapes; a link's large-scale mask is kept apart from them.
+
+    The covariance of the fading is a Kronecker product,
+    E{H[a, p] conj(H[b, q])} = corr_r[a, b] * corr_s[p, q].  Its two factors
+    and the full (N_r*N_s)^2 covariance ``corr`` of the vectorized fading are
+    each built on first use and kept.
     """
 
     u_r: np.ndarray
     u_s: np.ndarray
     v_r: np.ndarray
     v_s: np.ndarray
-    corr: np.ndarray
+
+    @cached_property
+    def corr(self) -> np.ndarray:
+        """Full covariance of vec(H), (N_r*N_s, N_r*N_s): see ``correlation_matrix``."""
+        return correlation_matrix(self.u_r, self.u_s, self.v_r, self.v_s)
+
+    @cached_property
+    def corr_r(self) -> np.ndarray:
+        """Receive-side factor U_r diag(v_r^2) U_r^H, (N_r, N_r)."""
+        return (self.u_r * self.v_r**2) @ np.conj(self.u_r.T)
+
+    @cached_property
+    def corr_s(self) -> np.ndarray:
+        """Transmit-side factor conj(U_s) diag(v_s^2) U_s^T, (N_s, N_s)."""
+        return (np.conj(self.u_s) * self.v_s**2) @ self.u_s.T
 
     @property
     def n_r(self) -> int:
@@ -306,5 +325,4 @@ def make_channel_stats(
     u_s = wave_vector_matrix(lat_s, local_s, wavelength, raw_kz=raw_kz)
     v_r = variance_profile(lat_r, local_r.n_antennas)
     v_s = variance_profile(lat_s, local_s.n_antennas)
-    corr = correlation_matrix(u_r, u_s, v_r, v_s)
-    return ChannelStats(u_r=u_r, u_s=u_s, v_r=v_r, v_s=v_s, corr=corr)
+    return ChannelStats(u_r=u_r, u_s=u_s, v_r=v_r, v_s=v_s)

@@ -10,12 +10,14 @@ the (K,) per-user SE in bits/s/Hz.  Spectral efficiency comes in two
 flavours that must agree: a Monte-Carlo estimate of the achievable-rate
 bound over channel draws, and a closed form for maximum-ratio combining
 whose second and fourth Gaussian moments are evaluated analytically from
-the channel covariance.  Both walk their work in pieces of fixed size: the
-Monte-Carlo estimate one slice of draws at a time, the closed form one
-station's links at a time.  From ``THREAD_MIN_DIM`` antenna pairs per link
-(N_r * N_s) up, the closed form spreads each station's per-user work over
-one thread per usable core; every sum keeps its serial order, so the
-result does not depend on the thread count.
+the channel covariance.  The Monte-Carlo estimate walks its draws one
+slice of fixed size at a time.  The covariance of every link's fading is a
+Kronecker product of a receive-side and a transmit-side factor, so from
+``FACTORED_MIN_DIM`` antenna pairs per link (N_r * N_s) up the closed form
+takes every moment from those two small factors and the masks, in batched
+products over all links, and builds no (N_r * N_s)^2 covariance.  Below
+that gate it keeps the dense form, one station's link covariances at a
+time, with which the small shapes' results were made.
 
 The channel of the link from user k to station m is G_mk = B_mk * H_mk:
 every H_mk has the one set of small-scale statistics ``stats`` and only the
@@ -27,9 +29,6 @@ per-antenna-pair coefficients; ``mask[m, k]`` is B_mk.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,13 +47,12 @@ RIDGE = 1e-12
 # channels is the working set, whatever the draw count
 MC_SLICE = 128
 
-# N_r * N_s from which the closed form spreads a station's users over
-# threads (_mr_moments).  Measured crossover, M = 9 stations, K = 6 users,
-# 2 cores (the caller with 4 users, one pool thread with 2), numpy 2.4.6,
-# one BLAS thread, best of 5: two threads take 1.2-1.25x the serial time at
-# N_r * N_s = 96, run 1.1-1.3x faster at 128-160, 1.35-1.4x at 192 and
-# 1.5x at 729 (the full preset)
-THREAD_MIN_DIM = 192
+# N_r * N_s from which the closed form takes its moments in Kronecker-
+# factored form.  Not a speed crossover (the factored form is faster at
+# every shape): below it the dense per-station moments are kept so that the
+# small shapes (the desk preset, the C10 trend lab) keep their results to
+# the last bit
+FACTORED_MIN_DIM = 192
 
 
 def uniform_amplitudes(budgets, n_s: int) -> np.ndarray:
@@ -105,28 +103,7 @@ def _logdet_se(e_mat: np.ndarray, psi: np.ndarray) -> float:
     return max(float(logabs / math.log(2.0)), 0.0)
 
 
-def _worker_count(n_ue: int) -> int:
-    """Threads for one closed-form call: the usable cores, at most one per user."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, n_ue))
-
-
-def _user_shares(n_ue: int, n_workers: int) -> list[range]:
-    """Consecutive users per thread, the calling thread's share first and about twice as large.
-
-    The cores of a shared host drift in speed independently.  With equal
-    shares every round waits for the slowest core; with this split a round
-    lasts as long as the calling thread's share unless a pool thread's core
-    runs at under half the speed of the caller's.
-    """
-    cuts = [0] + [n_ue * (w + 1) // (n_workers + 1) for w in range(1, n_workers + 1)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _mr_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
+def _dense_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
     """Every user's second and fourth Gaussian moments, one station at a time.
 
     Returns (z_sum, interference), each of shape (K, N_s, N_s):
@@ -136,16 +113,10 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
     same-channel Wick pairing; it equals sum_l T_kl - E_k E_k^H after the
     coherent part cancels.
 
-    Station m's work runs in two rounds split by user: every user l's masked
-    covariance and weight W_ml, then every user k's Z_mk and interference
-    terms, added over l in order.  From ``THREAD_MIN_DIM`` up the users are
-    spread over ``_worker_count`` threads, the calling thread and a pool of
-    one fewer, in the shares of ``_user_shares`` (numpy releases the GIL
-    inside both kinds of operation); below it, or on one core, the calling
-    thread runs every user alone.  Either way every accumulator receives
-    the same sums in the same order, so the result is the serial one to the
-    last bit.  The K covariance buffers, and one mask scratch per thread,
-    are allocated here once and reused by every station.
+    Station m's work runs in two rounds: every user l's masked covariance
+    and weight W_ml, then every user k's Z_mk and interference terms, added
+    over l in order.  The K covariance buffers, and one mask scratch, are
+    allocated here once and reused by every station.
     """
     n_bs, n_ue = mask.shape[:2]
     n_r, n_s = stats.n_r, stats.n_s
@@ -155,7 +126,6 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
     pbar = [np.diag(a.astype(complex) ** 2) for a in amplitudes]
     z = np.empty((n_ue, n_bs, n_s, n_s), dtype=complex)
     interference = np.zeros((n_ue, n_s, n_s), dtype=complex)
-    n_workers = _worker_count(n_ue) if dim >= THREAD_MIN_DIM else 1
     # each covariance in the layout numpy gives the unbuffered product: the
     # layout of corr for a scalar beta, C order for a per-pair mask; the
     # contractions below walk their operands in that layout
@@ -163,43 +133,50 @@ def _mr_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
     if mask.ndim == 2 and not corr.flags.c_contiguous:
         cov = cov.transpose(0, 2, 1)
     r4 = [c.reshape((n_r, n_s, n_r, n_s), order="F") for c in cov]
-    scratch = np.empty((n_workers, dim, dim)) if mask.ndim == 4 else None
+    scratch = np.empty((dim, dim)) if mask.ndim == 4 else None
     weights = [None] * n_ue
-    users = _user_shares(n_ue, n_workers)
-
-    def build(w, row):
-        for l in users[w]:
-            b = row[l]
+    for m, row in enumerate(mask):
+        # every weight of station m before any user's contractions
+        for l, b in enumerate(row):
             if scratch is None:
                 # one scalar beta at a time: ``**`` is C pow, which can
                 # differ from b * b in the last bit
                 np.multiply(b**2, corr, out=cov[l])
             else:
                 vec_b = b.reshape(-1, order="F")
-                np.multiply(corr, np.outer(vec_b, vec_b, out=scratch[w]), out=cov[l])
+                np.multiply(corr, np.outer(vec_b, vec_b, out=scratch), out=cov[l])
             weights[l] = np.einsum("apbq,pq->ab", r4[l], pbar[l])
-
-    def contract(w, m):
-        for k in users[w]:
+        for k in range(n_ue):
             z[k, m] = np.einsum("apai->ip", r4[k])
             for weight in weights:
                 interference[k] += np.einsum("bjai,ab->ij", r4[k], weight)
-
-    with ThreadPoolExecutor(n_workers - 1) if n_workers > 1 else nullcontext() as pool:
-
-        def each_worker(fn, arg):
-            # the calling thread takes share 0 itself: n_workers threads
-            # run, never one more than there are cores
-            futures = [pool.submit(fn, w, arg) for w in range(1, n_workers)]
-            fn(0, arg)
-            for f in futures:
-                f.result()
-
-        for m, row in enumerate(mask):
-            # every weight of station m before any user's contractions
-            each_worker(build, row)
-            each_worker(contract, m)
     z_sum = np.array([np.sum(z_k, axis=0) for z_k in z])
+    return z_sum, interference
+
+
+def _factored_moments(stats: ChannelStats, mask: np.ndarray, amplitudes: np.ndarray):
+    """The moments of ``_dense_moments`` from the covariance's Kronecker factors, all links at once.
+
+    With Kr = ``stats.corr_r``, Ks = ``stats.corr_s`` and the real mask B_mk
+    of a link (a scalar beta stands for a constant (N_r, N_s) matrix):
+    Z_mk = conj(Ks) o (B_mk^T diag(Kr) B_mk), and since W_ml o conj(Kr) is
+    the real S_ml = |Kr|^2 o (B_ml diag(diag(Ks) a_l^2) B_ml^T), user k's
+    interference is conj(Ks) o sum_m B_mk^T S_m B_mk with S_m = sum_l S_ml.
+    Every step is a batched matrix product over the links; no array has
+    more than M * K * N_r * N_s or M * N_r^2 entries.
+    """
+    n_bs, n_ue = mask.shape[:2]
+    n_r, n_s = stats.n_r, stats.n_s
+    kr, ks_conj = stats.corr_r, np.conj(stats.corr_s)
+    links = np.broadcast_to(mask if mask.ndim == 4 else mask[:, :, None, None],
+                            (n_bs, n_ue, n_r, n_s))
+    # station m's links side by side, [B_m1 ... B_mK] of shape (N_r, K * N_s)
+    rows = links.transpose(0, 2, 1, 3).reshape(n_bs, n_r, n_ue * n_s)
+    powers = np.real(np.diag(stats.corr_s)) * amplitudes**2
+    s = ((rows * powers.reshape(-1)) @ rows.swapaxes(1, 2)) * np.abs(kr) ** 2
+    links_t = links.swapaxes(2, 3)
+    z_sum = ks_conj * np.sum(links_t @ (np.real(np.diag(kr))[:, None] * links), axis=0)
+    interference = ks_conj * np.sum(links_t @ (s[:, None] @ links), axis=0)
     return z_sum, interference
 
 
@@ -209,14 +186,14 @@ def se_closed_form_mr(stats: ChannelStats, mask: np.ndarray, amplitudes, noise_p
     ``mask[m, k]`` is the large-scale mask of the link from user k to
     station m.  All Gaussian moments are evaluated analytically from the
     masked channel covariance; channels of distinct stations or users are
-    independent.  The moments are taken in one pass over the stations:
-    station m's K covariances are built, contracted into every user's
-    interference sum (stations outer, users l inner) and freed before the
-    next station's, so a call holds one station's links whatever M is.
-    Returns the (K,) per-user SE.
+    independent.  The moments come from ``_factored_moments`` from
+    ``FACTORED_MIN_DIM`` antenna pairs per link up, below it from
+    ``_dense_moments``.  Returns the (K,) per-user SE.
     """
     amplitudes = _checked_amplitudes(stats, mask, amplitudes)
-    z_sum, interference = _mr_moments(stats, mask, amplitudes)
+    factored = stats.n_r * stats.n_s >= FACTORED_MIN_DIM
+    moments = _factored_moments if factored else _dense_moments
+    z_sum, interference = moments(stats, mask, amplitudes)
     per_ue = np.zeros(len(amplitudes))
     for k, a_k in enumerate(amplitudes):
         e_mat = z_sum[k] * a_k

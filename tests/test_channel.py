@@ -169,6 +169,14 @@ class TestCorrelationMatrix:
         eigs = np.linalg.eigvalsh(r)
         assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 
+    def test_kronecker_factors(self):
+        stats = _stats(3, 2, 3, 1, spacing_factor=2.05)
+        # only what a caller reads is built
+        assert not {"corr", "corr_r", "corr_s"} & set(vars(stats))
+        kron = np.kron(stats.corr_s, stats.corr_r)
+        assert np.linalg.norm(kron - stats.corr) <= 1e-13 * np.linalg.norm(stats.corr)
+        assert stats.corr is stats.corr
+
     def test_matches_sample_covariance(self):
         stats = _stats(2, 2, 2, 1, spacing_factor=2.2)
         n = 100_000

@@ -1,7 +1,4 @@
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +8,7 @@ from hypothesis import strategies as st
 
 from xlmimo import se
 from xlmimo.channel import (
+    ChannelStats,
     build_surface,
     fresnel_beta,
     lsf_matrix,
@@ -21,13 +19,12 @@ from xlmimo.env import CellFreeEnv
 from xlmimo.harness.config import make_config
 from xlmimo.seeding import stream
 from xlmimo.se import (
+    FACTORED_MIN_DIM,
     MC_SLICE,
-    THREAD_MIN_DIM,
+    _dense_moments,
+    _factored_moments,
     _logdet_se,
     _mc_slice_sums,
-    _mr_moments,
-    _user_shares,
-    _worker_count,
     draw_channel_grid,
     se_closed_form_mr,
     se_monte_carlo,
@@ -104,7 +101,7 @@ def masked_covariance(corr: np.ndarray, b) -> np.ndarray:
 
 
 def grid_moments(stats, mask, amplitudes):
-    """Reference for ``_mr_moments``: every link's moments built first.
+    """Reference for both moment paths of the closed form: every link's moments built first.
 
     Builds the M x K grids of covariances, r4 tensors, second moments and
     receive-side weights before contracting any of them, then sums each
@@ -198,38 +195,28 @@ def gaussian_moment_oracle(
     return pairings, simulated
 
 
-@st.composite
-def small_systems(
-    draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1, zero_shares=False
-):
-    """Random small cell-free system: (stats, masks, amplitudes) with M, K >= 2.
+def placed_system(draw, m_bs, k_ue, station_shape, user_shape, spacing_r, spacing_s,
+                  zero_shares):
+    """(stats, masks, amplitudes) of surfaces of the given shapes placed at random.
 
-    Stations are n_h x n_v surfaces of up to 3 x 3 antennas at 10 m height,
-    users the given surface shapes at 1.5 m, all placed in a 200 m square;
+    Stations at 10 m height and users at 1.5 m are placed in a 200 m square;
     ``masks`` holds both kinds of large-scale mask (see ``link_masks``).  Each
     user radiates a random share of the 0.2 W budget, split randomly over its
     antennas; with ``zero_shares`` some antennas, or a whole user, get none.
     """
-    m_bs = draw(st.integers(2, 3))
-    k_ue = draw(st.integers(2, 3))
-    n_h_r = draw(st.integers(min_r, 3))
-    n_v_r = draw(st.integers(min_r, 3))
-    n_h_s, n_v_s = draw(st.sampled_from(user_shapes))
-    spacing_r = draw(st.floats(0.2, 0.45)) * WL
-    spacing_s = draw(st.floats(0.34, 0.45)) * WL
     coord = st.floats(0.0, 200.0)
     users = [
-        build_surface(n_h_s, n_v_s, spacing_s, (draw(coord), draw(coord), 1.5))
+        build_surface(*user_shape, spacing_s, (draw(coord), draw(coord), 1.5))
         for _ in range(k_ue)
     ]
     stations = [
-        build_surface(n_h_r, n_v_r, spacing_r, (draw(coord), draw(coord), 10.0))
+        build_surface(*station_shape, spacing_r, (draw(coord), draw(coord), 10.0))
         for _ in range(m_bs)
     ]
     stats = make_channel_stats(
-        build_surface(n_h_r, n_v_r, spacing_r), build_surface(n_h_s, n_v_s, spacing_s), WL
+        build_surface(*station_shape, spacing_r), build_surface(*user_shape, spacing_s), WL
     )
-    n_s = n_h_s * n_v_s
+    n_s = user_shape[0] * user_shape[1]
     share = st.floats(0.1, 1.0)
     if zero_shares:
         share = st.one_of(st.just(0.0), share)
@@ -240,6 +227,48 @@ def small_systems(
         total = shares.sum()
         row[:] = np.sqrt(0.2 * load * shares / total) if total > 0 else shares
     return stats, link_masks(stations, users), amplitudes
+
+
+@st.composite
+def small_systems(
+    draw, user_shapes=((1, 1), (2, 1), (3, 1), (1, 3)), min_r=1, zero_shares=False
+):
+    """Random small cell-free system (see ``placed_system``) with M, K >= 2.
+
+    Stations are n_h x n_v surfaces of up to 3 x 3 antennas, users the given
+    surface shapes, so N_r * N_s is at most 27.
+    """
+    m_bs = draw(st.integers(2, 3))
+    k_ue = draw(st.integers(2, 3))
+    n_h_r = draw(st.integers(min_r, 3))
+    n_v_r = draw(st.integers(min_r, 3))
+    user_shape = draw(st.sampled_from(user_shapes))
+    spacing_r = draw(st.floats(0.2, 0.45)) * WL
+    spacing_s = draw(st.floats(0.34, 0.45)) * WL
+    return placed_system(draw, m_bs, k_ue, (n_h_r, n_v_r), user_shape, spacing_r, spacing_s,
+                         zero_shares)
+
+
+@st.composite
+def wide_systems(draw):
+    """Random cell-free system (see ``placed_system``) with N_r * N_s >= FACTORED_MIN_DIM.
+
+    M, K >= 2 and N_r * N_s lies between the gate and about 2.5 times it.
+    Some user surfaces have a one-point lattice, so their psi is singular
+    under a scalar mask: every 2 x 1 and 2 x 2 user, and a 3 x 3 user at a
+    third of a wavelength (3 * spacing rounds below the wavelength).
+    """
+    m_bs = draw(st.integers(2, 3))
+    k_ue = draw(st.integers(2, 3))
+    user_shape = draw(st.sampled_from(((3, 1), (1, 3), (3, 3), (2, 1), (2, 2))))
+    n_s = user_shape[0] * user_shape[1]
+    n_h_r = draw(st.integers(4, 10))
+    min_v = -(-FACTORED_MIN_DIM // (n_h_r * n_s))
+    n_v_r = draw(st.integers(min_v, min_v + 2))
+    spacing_r = draw(st.floats(0.2, 0.45)) * WL
+    spacing_s = draw(st.one_of(st.floats(0.34, 0.45), st.just(1.0 / 3.0))) * WL
+    return placed_system(draw, m_bs, k_ue, (n_h_r, n_v_r), user_shape, spacing_r, spacing_s,
+                         zero_shares=True)
 
 
 def einsum_sample_ssf_batch(stats, n, rng):
@@ -279,6 +308,28 @@ def loop_slice_sums(stats, mask, powers_sq, n, rng):
             x = c * powers_sq[l]
             t_sum[k, l] = np.einsum("dbq,deq->dbe", x, np.conj(c)).sum(axis=0)
     return a_sum, t_sum
+
+
+def random_stats(n_r, n_s, rng):
+    """Statistics from random complex wave-vector matrices and deviations.
+
+    A surface's own statistics have real Kronecker factors (its lattice and
+    antennas are symmetric about its centre); these have complex Hermitian
+    ones, so every conjugate and modulus in the moments shows.
+    """
+    def side(n):
+        n_pts = n // 2 + 1
+        u = rng.standard_normal((n, n_pts)) + 1j * rng.standard_normal((n, n_pts))
+        return u / n, rng.uniform(0.5, 2.0, n_pts)
+
+    (u_r, v_r), (u_s, v_s) = side(n_r), side(n_s)
+    return ChannelStats(u_r=u_r, u_s=u_s, v_r=v_r, v_s=v_s)
+
+
+def random_mask(kind, m_bs, k_ue, n_r, n_s, rng):
+    """Positive masks of lsf-like scale: (M, K) betas or (M, K, N_r, N_s) coefficients."""
+    shape = (m_bs, k_ue) if kind == "beta" else (m_bs, k_ue, n_r, n_s)
+    return rng.uniform(0.5e-5, 2e-5, shape)
 
 
 def assert_blockwise_close(actual, expected, rtol):
@@ -391,14 +442,15 @@ class TestClosedFormReference:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(small_systems(zero_shares=True))
     def test_bitwise_equal_to_grid_reference(self, system):
-        # the station-outer pass adds the same terms in the same order as
-        # the grid algorithm, so every moment and every per-user SE is equal
-        # to the last bit
+        # below the gate the station-outer pass adds the same terms in the
+        # same order as the grid algorithm, so every moment and every
+        # per-user SE is equal to the last bit
         stats, masks, amplitudes = system
+        assert stats.n_r * stats.n_s < FACTORED_MIN_DIM
         for kind in ("lsf", "beta"):
             mask = masks[kind]
             for moment, reference in zip(
-                _mr_moments(stats, mask, amplitudes), grid_moments(stats, mask, amplitudes)
+                _dense_moments(stats, mask, amplitudes), grid_moments(stats, mask, amplitudes)
             ):
                 assert moment.tobytes() == reference.tobytes(), f"mask={kind}"
             per_ue = se_closed_form_mr(stats, mask, amplitudes, NOISE)
@@ -427,7 +479,7 @@ class TestRandomizedAgreement:
         tol = 0.02 * math.sqrt(10_000 / self.DRAWS)
         for kind in ("lsf", "beta"):
             mask = masks[kind]
-            for z_sum in _mr_moments(stats, mask, amplitudes)[0]:
+            for z_sum in _dense_moments(stats, mask, amplitudes)[0]:
                 eigs = np.linalg.eigvalsh(z_sum)
                 assert eigs.min() > 1e-3 * eigs.max()
             closed = se_closed_form_mr(stats, mask, amplitudes, NOISE)
@@ -503,136 +555,111 @@ class TestMaskedCovariance:
         expected = (float(b) ** 2) * stats.corr
         assert masked_covariance(stats.corr, np.float64(b)).tobytes() == expected.tobytes()
         # the closed form squares it the same way
-        z_sum, _ = _mr_moments(stats, np.array([[b]]), full_power(1, stats.n_s))
+        z_sum, _ = _dense_moments(stats, np.array([[b]]), full_power(1, stats.n_s))
         z_ref = second_moment(expected, stats.n_r, stats.n_s)
         assert z_sum[0].tobytes() == z_ref.tobytes()
 
 
-class TestThreadedClosedForm:
-    """``_mr_moments`` spreads a station's users over threads from THREAD_MIN_DIM up."""
-
-    # 9 x 9 receive and 3 x 3 user surfaces: N_r * N_s = 729, as at --preset full
-    WIDE = dict(m_bs=2, k_ue=3, n_h_r=9, n_v_r=9, n_h_s=3, n_v_s=3)
+class TestFactoredClosedForm:
+    """From FACTORED_MIN_DIM up, the closed form takes the Kronecker-factored moments."""
 
     @staticmethod
-    def count_pools(monkeypatch, workers):
-        """Force ``workers`` threads and record every pool's size (one fewer: the caller works)."""
-        sizes = []
+    def count_factored(monkeypatch):
+        """Record each call of ``_factored_moments``, which still runs."""
+        calls = []
+        monkeypatch.setattr(
+            se, "_factored_moments", lambda *args: calls.append(1) or _factored_moments(*args)
+        )
+        return calls
 
-        class CountingPool(se.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(wide_systems())
+    def test_matches_grid_reference(self, system):
+        stats, masks, amplitudes = system
+        assert stats.n_r * stats.n_s >= FACTORED_MIN_DIM
+        for kind in ("lsf", "beta"):
+            mask = masks[kind]
+            z_sum, interference = _factored_moments(stats, mask, amplitudes)
+            z_ref, interference_ref = grid_moments(stats, mask, amplitudes)
+            assert_blockwise_close(z_sum, z_ref, rtol=1e-12)
+            assert_blockwise_close(interference, interference_ref, rtol=1e-12)
+            per_ue = se_closed_form_mr(stats, mask, amplitudes, NOISE)
+            reference = grid_closed_form(stats, mask, amplitudes, NOISE)
+            for k in range(len(amplitudes)):
+                # a singular psi leaves the SE to the log-det's ridge
+                eigs = np.linalg.eigvalsh(interference_ref[k] + NOISE * z_ref[k])
+                if eigs.min() > 1e-3 * eigs.max():
+                    assert per_ue[k] == pytest.approx(reference[k], rel=1e-10, abs=1e-15), (
+                        f"mask={kind}, user {k}"
+                    )
 
-        monkeypatch.setattr(se, "_worker_count", lambda n_ue: min(workers, n_ue))
-        monkeypatch.setattr(se, "ThreadPoolExecutor", CountingPool)
-        return sizes
-
-    def test_worker_count_within_cores_and_users(self):
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cores = os.cpu_count() or 1
-        for n_ue in (1, 2, 3, 6, 64):
-            assert 1 <= _worker_count(n_ue) <= min(cores, n_ue)
-
-    def test_user_shares_cover_users_in_order_caller_first(self):
-        for n_ue in range(1, 9):
-            for n_workers in range(1, n_ue + 1):
-                shares = _user_shares(n_ue, n_workers)
-                assert len(shares) == n_workers
-                assert [k for share in shares for k in share] == list(range(n_ue))
-                assert all(shares)
-                # the calling thread's share is the largest
-                assert len(shares[0]) == max(map(len, shares))
-        # --preset full on two cores: the caller takes 4 of the 6 users
-        assert _user_shares(6, 2) == [range(0, 4), range(4, 6)]
-
-    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("kind", ["lsf", "beta"])
-    def test_threaded_bitwise_equal_to_grid_reference(self, monkeypatch, workers, kind):
-        stats, mask = stats_grid(**self.WIDE, kind=kind)
-        assert stats.n_r * stats.n_s >= THREAD_MIN_DIM
-        powers = uniform_amplitudes([0.2, 0.1, 0.05], stats.n_s)
-        sizes = self.count_pools(monkeypatch, workers)
-        for moment, reference in zip(
-            _mr_moments(stats, mask, powers), grid_moments(stats, mask, powers)
-        ):
-            assert moment.tobytes() == reference.tobytes()
-        per_ue = se_closed_form_mr(stats, mask, powers, NOISE)
-        assert per_ue.tobytes() == grid_closed_form(stats, mask, powers, NOISE).tobytes()
-        assert sizes == [workers - 1, workers - 1]
+    def test_complex_factors_match_grid_reference(self, kind):
+        rng = np.random.default_rng(5)
+        stats = random_stats(32, 6, rng)
+        for factor in (stats.corr_r, stats.corr_s):
+            assert np.abs(factor.imag).max() > 0.1 * np.abs(factor.real).max()
+        mask = random_mask(kind, 3, 2, stats.n_r, stats.n_s, rng)
+        amplitudes = rng.uniform(0.0, 0.2, (2, stats.n_s))
+        z_sum, interference = _factored_moments(stats, mask, amplitudes)
+        z_ref, interference_ref = grid_moments(stats, mask, amplitudes)
+        assert_blockwise_close(z_sum, z_ref, rtol=1e-12)
+        assert_blockwise_close(interference, interference_ref, rtol=1e-12)
 
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # every worker writes its own users' covariances, weights and sums;
-        # a lost or crossed update would break bit-equality with the grid
-        stats, mask = stats_grid(3, 6, n_h_r=8, n_v_r=6, n_h_s=4, n_v_s=1)
-        assert stats.n_r * stats.n_s == THREAD_MIN_DIM
-        powers = uniform_amplitudes([0.2 / (1 + k) for k in range(6)], stats.n_s)
-        reference = grid_moments(stats, mask, powers)
-        sizes = self.count_pools(monkeypatch, 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                for moment, ref in zip(_mr_moments(stats, mask, powers), reference):
-                    assert moment.tobytes() == ref.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        assert sizes == [5, 5, 5]
+    @pytest.mark.parametrize("n_r, factored", [(47, False), (48, True)])
+    def test_gate_at_factored_min_dim(self, monkeypatch, n_r, factored):
+        calls = self.count_factored(monkeypatch)
+        rng = np.random.default_rng(6)
+        stats = random_stats(n_r, 4, rng)
+        assert 48 * 4 == FACTORED_MIN_DIM
+        mask = random_mask("lsf", 2, 2, stats.n_r, stats.n_s, rng)
+        se_closed_form_mr(stats, mask, full_power(2, stats.n_s), NOISE)
+        assert calls == ([1] if factored else [])
 
     @pytest.mark.parametrize("geometry", ["desk", "trend"])
     @pytest.mark.parametrize("lsf_mode", ["lsf", "beta"])
-    def test_desk_and_trend_stay_serial(self, monkeypatch, geometry, lsf_mode):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool built below THREAD_MIN_DIM")
+    def test_desk_and_trend_stay_dense(self, monkeypatch, geometry, lsf_mode):
+        def no_factored(*args):
+            raise AssertionError("factored moments taken below FACTORED_MIN_DIM")
 
-        # plenty of cores, so only the size threshold keeps these serial
-        monkeypatch.setattr(se, "_worker_count", lambda n_ue: n_ue)
-        monkeypatch.setattr(se, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(se, "_factored_moments", no_factored)
         geo = TestMonteCarloMemory.TREND_GEOMETRY if geometry == "trend" else {}
         cfg = make_config({**geo, "lsf_mode": lsf_mode})
         env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
         env.reset()
-        assert env.channel_stats.n_r * env.n_s < THREAD_MIN_DIM
+        assert env.channel_stats.n_r * env.n_s < FACTORED_MIN_DIM
         powers = full_power(cfg.k_ue, env.n_s, cfg.p_max)
         se_closed_form_mr(env.channel_stats, env.stats_grid(), powers, cfg.noise_power)
 
-    def test_workers_call_no_public_se_function(self, monkeypatch):
-        # perfbench's tracer wraps every public function with one span stack
-        # that is not thread-safe; worker threads must stay below that API
-        off_main = []
+    @pytest.mark.parametrize("lsf_mode", ["lsf", "beta"])
+    def test_full_preset_takes_factored(self, monkeypatch, lsf_mode):
+        def no_dense(*args):
+            raise AssertionError("dense moments taken from FACTORED_MIN_DIM up")
 
-        def spy(name, fn):
-            def wrapper(*args, **kwargs):
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
+        monkeypatch.setattr(se, "_dense_moments", no_dense)
+        calls = self.count_factored(monkeypatch)
+        cfg = make_config({"lsf_mode": lsf_mode}, preset="full")
+        env = CellFreeEnv(cfg.env_params(), stream(cfg.seed, "env"))
+        env.reset()
+        assert env.channel_stats.n_r * env.n_s >= FACTORED_MIN_DIM
+        powers = full_power(cfg.k_ue, env.n_s, cfg.p_max)
+        se_closed_form_mr(env.channel_stats, env.stats_grid(), powers, cfg.noise_power)
+        assert calls == [1]
+        # the dense (N_r * N_s)^2 covariance was never built
+        assert "corr" not in vars(env.channel_stats)
 
-        for name, obj in list(vars(se).items()):
-            if callable(obj) and not name.startswith("_") and getattr(
-                obj, "__module__", ""
-            ).startswith("xlmimo"):
-                monkeypatch.setattr(se, name, spy(name, obj))
-        worker_einsums, main_einsums = [], []
-        einsum = np.einsum
-
-        def einsum_spy(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                worker_einsums.append(args[0])
-            else:
-                main_einsums.append(args[0])
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", einsum_spy)
-        self.count_pools(monkeypatch, 2)
-        stats, mask = stats_grid(**self.WIDE)
-        powers = full_power(3, stats.n_s)
-        se.se_closed_form_mr(stats, mask, powers, NOISE)
-        assert worker_einsums, "no contraction ran on a worker thread"
-        assert main_einsums, "the calling thread took no share"
-        assert off_main == []
+    def test_full_shape_peak_memory(self):
+        # 9 stations, 6 users, 9 x 9 / 3 x 3 surfaces: one dense link
+        # covariance alone would take 8.5 MB
+        stats, lsf = stats_grid(9, 6, n_h_r=9, n_v_r=9, n_h_s=3, n_v_s=3)
+        powers = full_power(6, stats.n_s)
+        tracemalloc.start()
+        try:
+            se_closed_form_mr(stats, lsf, powers, NOISE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestClosedFormSe:
@@ -678,7 +705,7 @@ class TestClosedFormSe:
             [covs[m][k].reshape(n_r, n_s, n_r, n_s, order="F") for k in range(2)]
             for m in range(2)
         ]
-        z_sum_prod, interference = _mr_moments(stats, lsf, p)
+        z_sum_prod, interference = _dense_moments(stats, lsf, p)
         for k in range(2):
             t_sum = np.zeros((n_s, n_s), dtype=complex)
             for l in range(2):
